@@ -1,6 +1,7 @@
 #include "core/gsum.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/one_pass_hh.h"
@@ -14,14 +15,18 @@ namespace gstream {
 namespace {
 
 // The unit a shard replica owns under whole-stack sharding: every
-// repetition's recursive stack.  A chunk routed to a shard flows through
-// all of that shard's stacks, so merging RepetitionStacks rep-by-rep
-// reproduces each repetition's sequential state.
+// repetition's recursive stack.  A chunk routed to a shard is coalesced
+// once and the coalesced chunk flows through all of that shard's stacks
+// (each sees it already coalesced and skips its own pass), so merging
+// RepetitionStacks rep-by-rep reproduces each repetition's sequential
+// state.
 struct RepetitionStack {
   std::vector<RecursiveGSum> reps;
+  std::vector<Update> coalesced;  // reusable CoalesceBatch output
 
   void UpdateBatch(const Update* updates, size_t n) {
-    for (RecursiveGSum& rep : reps) rep.UpdateBatch(updates, n);
+    const std::span<const Update> chunk = Coalesced(updates, n, &coalesced);
+    for (RecursiveGSum& rep : reps) rep.UpdateBatch(chunk.data(), chunk.size());
   }
 
   void MergeFrom(const RepetitionStack& other) {
@@ -77,6 +82,7 @@ GSumEstimator::GSumEstimator(GFunctionPtr g, uint64_t domain,
     };
   }
 
+  coalesced_.reserve(kStreamBatchSize);
   Rng root(options.seed);
   reps_.reserve(options.repetitions);
   for (size_t r = 0; r < options.repetitions; ++r) {
@@ -92,7 +98,9 @@ void GSumEstimator::Update(ItemId item, int64_t delta) {
 
 void GSumEstimator::UpdateBatch(const gstream::Update* updates, size_t n) {
   updates_fed_ += n;
-  for (RecursiveGSum& rep : reps_) rep.UpdateBatch(updates, n);
+  const std::span<const gstream::Update> chunk =
+      Coalesced(updates, n, &coalesced_);
+  for (RecursiveGSum& rep : reps_) rep.UpdateBatch(chunk.data(), chunk.size());
 }
 
 void GSumEstimator::AdvancePass() {

@@ -89,8 +89,9 @@ class GSumEstimator {
   // Incremental interface: feed every update once per pass, calling
   // AdvancePass() between the passes of a two-pass configuration.
   // UpdateBatch is the hot path (Process drives it in
-  // kStreamBatchSize chunks); it fans the chunk out to every repetition's
-  // batched recursive sketch.
+  // kStreamBatchSize chunks); it coalesces the chunk once (CoalesceBatch)
+  // and fans the coalesced chunk out to every repetition's batched
+  // recursive sketch, which then skips its own coalescing.
   void Update(ItemId item, int64_t delta);
   void UpdateBatch(const gstream::Update* updates, size_t n);
   void AdvancePass();
@@ -111,11 +112,17 @@ class GSumEstimator {
 
   size_t SpaceBytes() const;
 
+  // Repetition r's recursive stack (r < options.repetitions), exposed so
+  // tests can pin the estimator's sketch state byte for byte.
+  const RecursiveGSum& repetition(size_t r) const { return reps_[r]; }
+
  private:
   GFunctionPtr g_;
   GSumOptions options_;
   double h_envelope_ = 1.0;
   std::vector<RecursiveGSum> reps_;
+  // Reusable CoalesceBatch output shared by every repetition's feed.
+  std::vector<gstream::Update> coalesced_;
   // Updates fed through the incremental interface; guards Process()'s
   // fresh-estimator precondition on the sharded path.
   uint64_t updates_fed_ = 0;

@@ -24,6 +24,7 @@
 #ifndef GSTREAM_CORE_HEAVY_HITTERS_H_
 #define GSTREAM_CORE_HEAVY_HITTERS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -116,6 +117,10 @@ class ExactHeavyHitterSketch : public GHeavyHitterSketch {
   }
   void AdvancePass() override {}
 
+  // Entries in ascending item order, so the cover -- and the recursive
+  // estimate summed over it -- depends only on the frequency vector, not
+  // on the hash map's insertion history (a deserialized or differently
+  // fed sketch with equal bytes decodes bit-identically).
   GCover Cover(const GFunction& g) const override {
     GCover cover;
     const FrequencyMap freq = freq_.Frequencies();
@@ -123,6 +128,10 @@ class ExactHeavyHitterSketch : public GHeavyHitterSketch {
     for (const auto& [item, value] : freq) {
       cover.push_back(GCoverEntry{item, value, g.ValueAbs(value), true});
     }
+    std::sort(cover.begin(), cover.end(),
+              [](const GCoverEntry& a, const GCoverEntry& b) {
+                return a.item < b.item;
+              });
     return cover;
   }
 

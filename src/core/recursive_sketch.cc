@@ -25,6 +25,7 @@ RecursiveGSum::RecursiveGSum(int levels, const GHeavyHitterFactory& factory,
   // update of a chunk; deeper levels receive subsets, but any level can
   // receive a full chunk in the worst case, so all get full capacity.
   for (auto& batch : level_batches_) batch.reserve(kStreamBatchSize);
+  coalesced_.reserve(kStreamBatchSize);
 }
 
 RecursiveGSum::RecursiveGSum(ReplicateTag, const RecursiveGSum& other)
@@ -35,6 +36,7 @@ RecursiveGSum::RecursiveGSum(ReplicateTag, const RecursiveGSum& other)
   }
   level_batches_.resize(other.level_batches_.size());
   for (auto& batch : level_batches_) batch.reserve(kStreamBatchSize);
+  coalesced_.reserve(kStreamBatchSize);
 }
 
 RecursiveGSum RecursiveGSum::Replicate() const {
@@ -65,8 +67,16 @@ void RecursiveGSum::Update(ItemId item, int64_t delta) {
   }
 }
 
-void RecursiveGSum::UpdateBatch(const gstream::Update* updates, size_t n) {
-  if (n == 0) return;
+void RecursiveGSum::UpdateBatch(const gstream::Update* raw, size_t raw_n) {
+  if (raw_n == 0) return;
+  // Coalesce first (a no-op scan when a caller fanning one chunk out to
+  // several stacks already did): one level walk per distinct item, and
+  // every level sub-batch inherits the strictly increasing order, which
+  // lets the level sketches skip their own dedup.
+  const std::span<const gstream::Update> chunk =
+      Coalesced(raw, raw_n, &coalesced_);
+  const gstream::Update* const updates = chunk.data();
+  const size_t n = chunk.size();
   const int max_level = levels();
   for (auto& batch : level_batches_) {
     batch.clear();  // capacity retained

@@ -56,10 +56,12 @@ class RecursiveGSum {
   // Routes the update to every level whose sample contains the item.
   void Update(ItemId item, int64_t delta);
 
-  // Batched routing: classifies the chunk once, partitions it into reusable
-  // per-level buffers, and forwards each level's sub-batch through the
-  // level sketch's UpdateBatch.  Counter state matches the sequential loop
-  // exactly (linearity).
+  // Batched routing: coalesces the chunk (CoalesceBatch; skipped when the
+  // chunk is already strictly increasing by item), classifies each
+  // distinct item once, partitions the coalesced chunk into reusable
+  // per-level buffers, and forwards each level's sub-batch -- sorted and
+  // unique -- through the level sketch's UpdateBatch.  Counter state
+  // matches the sequential loop exactly (linearity mod 2^64).
   void UpdateBatch(const gstream::Update* updates, size_t n);
 
   // Transitions every level sketch to its next pass.
@@ -111,6 +113,8 @@ class RecursiveGSum {
   // construction from the stream chunk size; UpdateBatch asserts they are
   // reused, never reallocated, in steady state.
   std::vector<std::vector<gstream::Update>> level_batches_;
+  // Reusable CoalesceBatch output for chunks that arrive uncoalesced.
+  std::vector<gstream::Update> coalesced_;
 };
 
 }  // namespace gstream

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "engine/sharded_ingestor.h"
+#include "util/bit.h"
 #include "util/logging.h"
 
 namespace gstream {
@@ -23,7 +24,9 @@ void TwoPassHeavyHitter::Update(ItemId item, int64_t delta) {
   const auto it = std::lower_bound(candidate_ids_.begin(),
                                    candidate_ids_.end(), item);
   if (it != candidate_ids_.end() && *it == item) {
-    exact_counts_[static_cast<size_t>(it - candidate_ids_.begin())] += delta;
+    int64_t& count =
+        exact_counts_[static_cast<size_t>(it - candidate_ids_.begin())];
+    count = WrapAdd(count, delta);
   }
 }
 
@@ -50,7 +53,10 @@ void TwoPassHeavyHitter::UpdateBatch(const gstream::Update* updates, size_t n) {
       run_slot = static_cast<size_t>(found - ids);
       run_hit = run_slot < slots && ids[run_slot] == run_item;
     }
-    if (run_hit) exact_counts_[run_slot] += updates[i].delta;
+    if (run_hit) {
+      int64_t& count = exact_counts_[run_slot];
+      count = WrapAdd(count, updates[i].delta);
+    }
   }
 }
 
@@ -81,7 +87,7 @@ void TwoPassHeavyHitter::MergeFrom(const TwoPassHeavyHitter& other) {
   // and summing copies would double its counters without meaning.
   GSTREAM_CHECK(candidate_ids_ == other.candidate_ids_);
   for (size_t i = 0; i < exact_counts_.size(); ++i) {
-    exact_counts_[i] += other.exact_counts_[i];
+    exact_counts_[i] = WrapAdd(exact_counts_[i], other.exact_counts_[i]);
   }
 }
 

@@ -467,15 +467,15 @@ struct SketchSerde {
     uint64_t n = 0;
     if (!r.GetU64(&n)) return Truncated("topk candidate count");
     if (n > r.remaining() / 16) return Truncated("topk candidates");
-    std::unordered_map<ItemId, int64_t> candidates;
-    candidates.reserve(static_cast<size_t>(n));
+    CandidateTable candidates;
+    candidates.Reserve(std::max<size_t>(static_cast<size_t>(n), 2 * k + 1));
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t item = 0;
       int64_t estimate = 0;
       if (!r.GetU64(&item) || !r.GetI64(&estimate)) {
         return Truncated("topk candidates");
       }
-      candidates[item] = estimate;
+      candidates.Assign(item, estimate);
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
     dst->sketch_ = std::move(sketch);

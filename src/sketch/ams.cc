@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/bit.h"
 #include "util/logging.h"
 #include "util/simd/simd_dispatch.h"
 
@@ -31,7 +32,9 @@ void AmsSketch::MergeFrom(const AmsSketch& other) {
   GSTREAM_CHECK_EQ(options_.group_size, other.options_.group_size);
   GSTREAM_CHECK_EQ(options_.groups, other.options_.groups);
   GSTREAM_CHECK_EQ(hash_fingerprint_, other.hash_fingerprint_);
-  for (size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
+  for (size_t i = 0; i < sums_.size(); ++i) {
+    sums_[i] = WrapAdd(sums_[i], other.sums_[i]);
+  }
 }
 
 void AmsSketch::Update(ItemId item, int64_t delta) {
@@ -43,7 +46,7 @@ void AmsSketch::Update(ItemId item, int64_t delta) {
   const uint64_t* c3 = sign_bank_.DegreeCoeffs(3);
   for (size_t i = 0; i < sums_.size(); ++i) {
     const uint64_t s = Eval4Wise(c0[i], c1[i], c2[i], c3[i], xm, x2, x3);
-    sums_[i] += (s & 1) ? delta : -delta;
+    sums_[i] = WrapAdd(sums_[i], SignByLowBit(delta, s));
   }
 }
 
@@ -51,8 +54,8 @@ void AmsSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
   // Estimator-major over L1-resident blocks through the dispatched SIMD
   // layer: the per-item field powers are computed once per block, then
   // each estimator's fused eval4 + signed-accumulate kernel sweeps the
-  // block with its four coefficients broadcast across lanes.  int64
-  // wraparound addition is associative, so the per-block partial sums
+  // block with its four coefficients broadcast across lanes.  Wraparound
+  // addition mod 2^64 is associative, so the per-block partial sums
   // leave sums_ bit-identical to the sequential loop under any tier.
   const simd::SimdOps& ops = simd::Ops();
   const uint64_t* c0 = sign_bank_.DegreeCoeffs(0);
@@ -67,9 +70,9 @@ void AmsSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
     const size_t m = std::min(simd::kSimdBlock, n - base);
     ops.prepare_batch(updates + base, m, xm, x2, x3, delta);
     for (size_t e = 0; e < sums_.size(); ++e) {
-      sums_[e] +=
-          ops.eval4_signed_sum(c0[e], c1[e], c2[e], c3[e], xm, x2, x3,
-                               delta, m);
+      sums_[e] = WrapAdd(
+          sums_[e], ops.eval4_signed_sum(c0[e], c1[e], c2[e], c3[e], xm, x2,
+                                         x3, delta, m));
     }
   }
 }

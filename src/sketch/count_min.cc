@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/bit.h"
 #include "util/logging.h"
 #include "util/simd/simd_dispatch.h"
 
@@ -35,7 +36,7 @@ void CountMinSketch::MergeFrom(const CountMinSketch& other) {
   GSTREAM_CHECK_EQ(options_.buckets, other.options_.buckets);
   GSTREAM_CHECK_EQ(hash_fingerprint_, other.hash_fingerprint_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = WrapAdd(counters_[i], other.counters_[i]);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdlib>
 
+#include "util/bit.h"
 #include "util/logging.h"
 #include "util/simd/simd_dispatch.h"
 
@@ -61,7 +62,7 @@ void CountSketch::MergeFrom(const CountSketch& other) {
   GSTREAM_CHECK_EQ(options_.buckets, other.options_.buckets);
   GSTREAM_CHECK_EQ(hash_fingerprint_, other.hash_fingerprint_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = WrapAdd(counters_[i], other.counters_[i]);
   }
 }
 
@@ -71,8 +72,8 @@ void CountSketch::Update(ItemId item, int64_t delta) {
   const size_t b = options_.buckets;
   for (size_t j = 0; j < options_.rows; ++j) {
     const uint64_t h = RowHash(j, xm, x2, x3);
-    const int64_t signed_delta = (h & 1) ? delta : -delta;
-    counters_[j * b + FastRange61(h, b)] += signed_delta;
+    int64_t& c = counters_[j * b + FastRange61(h, b)];
+    c = WrapAdd(c, SignByLowBit(delta, h));
   }
 }
 
@@ -118,7 +119,7 @@ int64_t CountSketch::Estimate(ItemId item) const {
   for (size_t j = 0; j < options_.rows; ++j) {
     const uint64_t h = RowHash(j, xm, x2, x3);
     const int64_t c = counters_[j * b + FastRange61(h, b)];
-    row_scratch_[j] = (h & 1) ? c : -c;
+    row_scratch_[j] = SignByLowBit(c, h);
   }
   return MedianInPlace(row_scratch_);
 }
@@ -200,7 +201,7 @@ CountSketchTopK::CountSketchTopK(const CountSketchOptions& options, size_t k,
                                  Rng& rng)
     : sketch_(options, rng), k_(k) {
   GSTREAM_CHECK_GE(k, 1u);
-  candidates_.reserve(2 * k + 1);
+  candidates_.Reserve(2 * k + 1);
   prune_scratch_.reserve(2 * k + 1);
 }
 
@@ -213,13 +214,16 @@ void CountSketchTopK::UpdateBatch(const gstream::Update* updates, size_t n) {
   sketch_.UpdateBatch(updates, n);
   // Refresh each distinct touched item once against the post-batch
   // counters; estimates only get sharper than the mid-batch values the
-  // sequential loop would have seen.
+  // sequential loop would have seen.  A coalesced chunk already lists its
+  // distinct items in ascending order.
   touched_scratch_.clear();
   for (size_t i = 0; i < n; ++i) touched_scratch_.push_back(updates[i].item);
-  std::sort(touched_scratch_.begin(), touched_scratch_.end());
-  touched_scratch_.erase(
-      std::unique(touched_scratch_.begin(), touched_scratch_.end()),
-      touched_scratch_.end());
+  if (!IsCoalesced(updates, n)) {
+    std::sort(touched_scratch_.begin(), touched_scratch_.end());
+    touched_scratch_.erase(
+        std::unique(touched_scratch_.begin(), touched_scratch_.end()),
+        touched_scratch_.end());
+  }
   // One batched decode for all touched items (the estimates depend only on
   // the post-batch counters, so precomputing them preserves the exact
   // insert-then-maybe-prune evolution of per-item Refresh calls).
@@ -227,7 +231,7 @@ void CountSketchTopK::UpdateBatch(const gstream::Update* updates, size_t n) {
   sketch_.EstimateAllInto(touched_scratch_.data(), touched_scratch_.size(),
                           estimate_scratch_.data());
   for (size_t i = 0; i < touched_scratch_.size(); ++i) {
-    candidates_[touched_scratch_[i]] = estimate_scratch_[i];
+    candidates_.Assign(touched_scratch_[i], estimate_scratch_[i]);
     if (candidates_.size() > 2 * k_) Prune();
   }
 }
@@ -254,9 +258,9 @@ void CountSketchTopK::MergeFrom(const CountSketchTopK& other) {
   estimate_scratch_.resize(touched_scratch_.size());
   sketch_.EstimateAllInto(touched_scratch_.data(), touched_scratch_.size(),
                           estimate_scratch_.data());
-  candidates_.clear();
+  candidates_.Clear();
   for (size_t i = 0; i < touched_scratch_.size(); ++i) {
-    candidates_[touched_scratch_[i]] = estimate_scratch_[i];
+    candidates_.Assign(touched_scratch_[i], estimate_scratch_[i]);
   }
   // Re-prune to the k strongest (|estimate| desc, item id tiebreak) -- the
   // same selection TopK() reports, so the retained set is exactly the top-k
@@ -265,7 +269,7 @@ void CountSketchTopK::MergeFrom(const CountSketchTopK& other) {
 }
 
 void CountSketchTopK::Refresh(ItemId item) {
-  candidates_[item] = sketch_.Estimate(item);
+  candidates_.Assign(item, sketch_.Estimate(item));
   if (candidates_.size() <= 2 * k_) return;
   Prune();
 }
@@ -282,13 +286,9 @@ void CountSketchTopK::Prune() {
   std::nth_element(prune_scratch_.begin(), kth, prune_scratch_.end(),
                    Stronger);
   const std::pair<int64_t, ItemId> cutoff = *kth;
-  for (auto it = candidates_.begin(); it != candidates_.end();) {
-    if (Stronger(cutoff, {std::llabs(it->second), it->first})) {
-      it = candidates_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  candidates_.RetainIf([&](const CandidateTable::Entry& e) {
+    return !Stronger(cutoff, {std::llabs(e.second), e.first});
+  });
 }
 
 std::vector<std::pair<ItemId, int64_t>> CountSketchTopK::TopK() const {

@@ -38,10 +38,10 @@
 #define GSTREAM_SKETCH_COUNT_SKETCH_H_
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "sketch/candidate_table.h"
 #include "sketch/linear_sketch.h"
 #include "util/aligned.h"
 #include "util/hash.h"
@@ -141,7 +141,8 @@ class CountSketch : public LinearSketch {
 //
 // Candidate maintenance is amortized: the set grows freely to 2k, then one
 // O(k) selection prunes it back to the k strongest -- O(1) amortized work
-// per update instead of the per-update linear eviction scan.
+// per update instead of the per-update linear eviction scan.  Candidates
+// live in a flat CandidateTable, so a refresh never allocates.
 class CountSketchTopK : public LinearSketch {
  public:
   CountSketchTopK(const CountSketchOptions& options, size_t k, Rng& rng);
@@ -150,7 +151,12 @@ class CountSketchTopK : public LinearSketch {
 
   // Applies the whole batch to the underlying sketch first (bit-identical
   // counters to the sequential loop), then refreshes each distinct touched
-  // item's estimate once.
+  // item's estimate once, in ascending item order.  Batch contract: any
+  // chunk is accepted; a chunk that is already coalesced (strictly
+  // increasing by item, see CoalesceBatch) skips the sort/dedup of the
+  // touched items.  Raw and coalesced feeds of the same chunk leave
+  // identical counters and candidates -- zero-net items included, which
+  // CoalesceBatch keeps for exactly this reason.
   void UpdateBatch(const gstream::Update* updates, size_t n) override;
 
   // Merges another tracker that processed a disjoint shard of the stream.
@@ -195,7 +201,7 @@ class CountSketchTopK : public LinearSketch {
   size_t k_;
   // Candidate -> current estimate.  Size capped at 2k (hysteresis band so
   // borderline items are not thrashed in and out).
-  std::unordered_map<ItemId, int64_t> candidates_;
+  CandidateTable candidates_;
   // Reusable scratch for Prune (|estimate|, item), batch dedup, and the
   // batched estimate refresh.
   std::vector<std::pair<int64_t, ItemId>> prune_scratch_;

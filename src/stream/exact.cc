@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "util/bit.h"
+
 namespace gstream {
 
 void ExactFrequencySketch::UpdateBatch(const gstream::Update* updates,
@@ -11,18 +13,20 @@ void ExactFrequencySketch::UpdateBatch(const gstream::Update* updates,
   if (n == 0) return;
   ItemId run_item = updates[0].item;
   int64_t* run_slot = &freq_[run_item];
-  *run_slot += updates[0].delta;
+  *run_slot = WrapAdd(*run_slot, updates[0].delta);
   for (size_t i = 1; i < n; ++i) {
     if (updates[i].item != run_item) {
       run_item = updates[i].item;
       run_slot = &freq_[run_item];
     }
-    *run_slot += updates[i].delta;
+    *run_slot = WrapAdd(*run_slot, updates[i].delta);
   }
 }
 
 void ExactFrequencySketch::MergeFrom(const ExactFrequencySketch& other) {
-  for (const auto& [item, value] : other.freq_) freq_[item] += value;
+  for (const auto& [item, value] : other.freq_) {
+    freq_[item] = WrapAdd(freq_[item], value);
+  }
 }
 
 FrequencyMap ExactFrequencySketch::Frequencies() const {

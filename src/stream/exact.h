@@ -10,6 +10,7 @@
 
 #include "sketch/linear_sketch.h"
 #include "stream/stream.h"
+#include "util/bit.h"
 
 namespace gstream {
 
@@ -28,7 +29,9 @@ class ExactFrequencySketch : public LinearSketch {
  public:
   ExactFrequencySketch() = default;
 
-  void Update(ItemId item, int64_t delta) override { freq_[item] += delta; }
+  void Update(ItemId item, int64_t delta) override {
+    freq_[item] = WrapAdd(freq_[item], delta);
+  }
 
   // Batched kernel: one hash probe per *run* of equal items instead of one
   // per update.  Aggregated generator output and sorted replays repeat

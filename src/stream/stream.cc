@@ -1,8 +1,10 @@
 #include "stream/stream.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "stream/exact.h"
+#include "util/bit.h"
 #include "util/logging.h"
 
 namespace gstream {
@@ -27,6 +29,38 @@ void Stream::AppendStream(const Stream& other) {
   }
   updates_.insert(updates_.end(), other.updates_.begin(),
                   other.updates_.end());
+}
+
+bool IsCoalesced(const Update* updates, size_t n) {
+  for (size_t i = 1; i < n; ++i) {
+    if (updates[i - 1].item >= updates[i].item) return false;
+  }
+  return true;
+}
+
+void CoalesceBatch(const Update* updates, size_t n, std::vector<Update>* out) {
+  std::vector<Update>& v = *out;
+  v.assign(updates, updates + n);
+  std::sort(v.begin(), v.end(),
+            [](const Update& a, const Update& b) { return a.item < b.item; });
+  // In-place run fold; the deltas wrap mod 2^64 exactly as the sketch
+  // counters they stand in for.
+  size_t w = 0;
+  for (const Update& u : v) {
+    if (w > 0 && v[w - 1].item == u.item) {
+      v[w - 1].delta = WrapAdd(v[w - 1].delta, u.delta);
+    } else {
+      v[w++] = u;
+    }
+  }
+  v.resize(w);
+}
+
+std::span<const Update> Coalesced(const Update* updates, size_t n,
+                                  std::vector<Update>* scratch) {
+  if (IsCoalesced(updates, n)) return {updates, n};
+  CoalesceBatch(updates, n, scratch);
+  return *scratch;
 }
 
 bool Stream::IsInsertionOnly() const {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,6 +35,25 @@ struct Update {
 // Default chunk size for batched stream consumption: 512 updates (8 KiB)
 // keep a whole chunk resident in L1 while a sketch re-scans it row-major.
 inline constexpr size_t kStreamBatchSize = 512;
+
+// True iff `updates[0, n)` is strictly increasing by item -- the shape
+// CoalesceBatch produces.  Consumers use it to skip re-coalescing a chunk
+// an upstream stage already coalesced.
+bool IsCoalesced(const Update* updates, size_t n);
+
+// Coalesces a chunk: writes one update per distinct item of `updates[0, n)`
+// into `out` (cleared first, capacity reused), strictly increasing by item,
+// each carrying the sum of that item's deltas mod 2^64.  Items whose
+// deltas cancel to zero are kept: a running top-k must still refresh them.
+// Every sketch in the library is linear over mod-2^64 counters, so feeding
+// the coalesced chunk leaves its counters bit-identical to the raw chunk,
+// while hashing each distinct item once.
+void CoalesceBatch(const Update* updates, size_t n, std::vector<Update>* out);
+
+// The coalesced form of `updates[0, n)`: the input itself when it is
+// already coalesced, otherwise CoalesceBatch's output in `scratch`.
+std::span<const Update> Coalesced(const Update* updates, size_t n,
+                                  std::vector<Update>* scratch);
 
 // An in-memory turnstile stream over domain [0, n).
 //

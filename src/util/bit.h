@@ -31,6 +31,25 @@ inline int Log2Ceil(uint64_t x) {
 // Smallest power of two >= x.  Requires x >= 1.
 inline uint64_t NextPow2(uint64_t x) { return uint64_t{1} << Log2Ceil(x); }
 
+// Two's-complement arithmetic mod 2^64 on int64 counters.  Linear sketch
+// counters are defined mod 2^64 -- that is what lets a batch fold or a
+// coalesced chunk reorder additions freely -- so every counter negation
+// and accumulation goes through uint64_t, where wraparound is defined
+// (signed overflow is not).
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+// `a` if the low bit of `h` is set, else -a (mod 2^64): the +-1 sign a
+// sketch row derives from its hash.  Branch-free ((a ^ m) - m with m all
+// ones exactly when the sign is -1), since the sign is a coin flip per
+// update and a branch on it mispredicts half the time.
+inline int64_t SignByLowBit(int64_t a, uint64_t h) {
+  const uint64_t m = (h & 1) - 1;
+  return static_cast<int64_t>((static_cast<uint64_t>(a) ^ m) - m);
+}
+
 }  // namespace gstream
 
 #endif  // GSTREAM_UTIL_BIT_H_

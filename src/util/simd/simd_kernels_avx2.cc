@@ -271,9 +271,9 @@ int64_t Avx2Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
   // the total matches the sequential accumulation bit-for-bit.
   alignas(32) int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t z = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  z += ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, delta + i,
-                            n - i);
+  int64_t z = WrapAdd(WrapAdd(lanes[0], lanes[1]), WrapAdd(lanes[2], lanes[3]));
+  z = WrapAdd(z, ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i,
+                                      delta + i, n - i));
   return z;
 }
 
@@ -291,12 +291,12 @@ void Avx2ScatterAddImpl(int64_t* counters, const uint32_t* idx,
     __builtin_prefetch(counters + idx[i + 5], 1, 3);
     __builtin_prefetch(counters + idx[i + 6], 1, 3);
     __builtin_prefetch(counters + idx[i + 7], 1, 3);
-    counters[idx[i]] += delta[i];
-    counters[idx[i + 1]] += delta[i + 1];
-    counters[idx[i + 2]] += delta[i + 2];
-    counters[idx[i + 3]] += delta[i + 3];
+    counters[idx[i]] = WrapAdd(counters[idx[i]], delta[i]);
+    counters[idx[i + 1]] = WrapAdd(counters[idx[i + 1]], delta[i + 1]);
+    counters[idx[i + 2]] = WrapAdd(counters[idx[i + 2]], delta[i + 2]);
+    counters[idx[i + 3]] = WrapAdd(counters[idx[i + 3]], delta[i + 3]);
   }
-  for (; i < n; ++i) counters[idx[i]] += delta[i];
+  ScalarScatterAdd(counters, idx + i, delta + i, n - i);
 }
 
 void Avx2ScatterAdd(int64_t* counters, const uint32_t* idx,

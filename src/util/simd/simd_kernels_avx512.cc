@@ -307,9 +307,9 @@ int64_t Avx512Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2,
   alignas(64) int64_t lanes[8];
   _mm512_store_si512(lanes, acc);
   int64_t z = 0;
-  for (const int64_t lane : lanes) z += lane;
-  z += ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, delta + i,
-                            n - i);
+  for (const int64_t lane : lanes) z = WrapAdd(z, lane);
+  z = WrapAdd(z, ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i,
+                                      delta + i, n - i));
   return z;
 }
 
@@ -369,7 +369,7 @@ void Avx512ScatterAddImpl(int64_t* counters, const uint32_t* idx,
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i)));
     ScatterAddLanes(counters, vidx, _mm512_loadu_si512(delta + i));
   }
-  for (; i < n; ++i) counters[idx[i]] += delta[i];
+  ScalarScatterAdd(counters, idx + i, delta + i, n - i);
 }
 
 void Avx512ScatterAdd(int64_t* counters, const uint32_t* idx,

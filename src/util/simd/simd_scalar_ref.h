@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "stream/stream.h"
+#include "util/bit.h"
 #include "util/hash.h"
 
 namespace gstream {
@@ -74,7 +75,7 @@ inline void ScalarEval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2,
   for (size_t i = 0; i < n; ++i) {
     const uint64_t h = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]);
     idx[i] = static_cast<uint32_t>(FastRange61(h, range));
-    sd[i] = (h & 1) ? delta[i] : -delta[i];
+    sd[i] = SignByLowBit(delta[i], h);
   }
 }
 
@@ -93,7 +94,7 @@ inline int64_t ScalarEval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2,
   int64_t z = 0;
   for (size_t i = 0; i < n; ++i) {
     const uint64_t s = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]);
-    z += (s & 1) ? delta[i] : -delta[i];
+    z = WrapAdd(z, SignByLowBit(delta[i], s));
   }
   return z;
 }
@@ -106,28 +107,29 @@ inline void ScalarEval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
 }
 
 // The scatter/gather reference kernels define the semantics the vector
-// tiers must reproduce: sequential stream-order accumulation (any fold
-// order is bit-identical anyway -- int64 wraparound addition commutes) and
+// tiers must reproduce: sequential stream-order accumulation mod 2^64 (any
+// fold order is bit-identical anyway -- wraparound addition commutes) and
 // multiply-by-sign decode.
 
 inline void ScalarScatterAdd(int64_t* counters, const uint32_t* idx,
                              const int64_t* delta, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    counters[idx[i]] += delta[i];
+    counters[idx[i]] = WrapAdd(counters[idx[i]], delta[i]);
   }
 }
 
 inline void ScalarScatterAddSigned(int64_t* counters, const uint32_t* idx,
                                    const int64_t* sd, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    counters[idx[i]] += sd[i];
+    counters[idx[i]] = WrapAdd(counters[idx[i]], sd[i]);
   }
 }
 
 inline void ScalarGatherSigned(const int64_t* counters, const uint32_t* idx,
                                const int64_t* sign, size_t n, int64_t* out) {
   for (size_t i = 0; i < n; ++i) {
-    out[i] = counters[idx[i]] * sign[i];
+    out[i] = static_cast<int64_t>(static_cast<uint64_t>(counters[idx[i]]) *
+                                  static_cast<uint64_t>(sign[i]));
   }
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
 #include "core/two_pass_hh.h"
 #include "gfunc/catalog.h"
+#include "persist/sketch_io.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
 #include "util/stats.h"
@@ -138,6 +143,34 @@ TEST(RecursiveSketchDeathTest, MergeRejectsDifferentDepths) {
   RecursiveGSum shallow(2, ExactFactory(), r1);
   RecursiveGSum deep(4, ExactFactory(), r2);
   EXPECT_DEATH(shallow.MergeFrom(deep), "GSTREAM_CHECK");
+}
+
+// The exact reference decodes from its frequency vector alone: two stacks
+// with identical serialized bytes -- here built through different hash-map
+// insertion histories, and one of them a deserialized copy -- must give a
+// bit-identical Estimate().
+TEST(RecursiveSketchTest, ExactEstimateDependsOnlyOnBytes) {
+  Rng data_rng(5);
+  const Workload w = MakeZipfWorkload(1 << 12, 2000, 1.1, 5000,
+                                      StreamShapeOptions{}, data_rng);
+  const GFunctionPtr g = MakeX2Log();
+  Rng rng_a(17), rng_b(17), rng_c(17);
+  RecursiveGSum forward(6, ExactFactory(), rng_a);
+  RecursiveGSum backward(6, ExactFactory(), rng_b);
+  const std::vector<Update>& ups = w.stream.updates();
+  for (const Update& u : ups) forward.Update(u.item, u.delta);
+  for (auto it = ups.rbegin(); it != ups.rend(); ++it) {
+    backward.Update(it->item, it->delta);
+  }
+  const std::string bytes = SerializeSketch(forward);
+  ASSERT_EQ(bytes, SerializeSketch(backward));
+  RecursiveGSum restored(6, ExactFactory(), rng_c);
+  ASSERT_TRUE(DeserializeSketch(bytes, &restored).ok());
+  const double estimate = forward.Estimate(*g);
+  EXPECT_EQ(std::bit_cast<uint64_t>(estimate),
+            std::bit_cast<uint64_t>(backward.Estimate(*g)));
+  EXPECT_EQ(std::bit_cast<uint64_t>(estimate),
+            std::bit_cast<uint64_t>(restored.Estimate(*g)));
 }
 
 TEST(RecursiveSketchTest, SpaceSumsOverLevels) {
