@@ -20,6 +20,7 @@
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "util/aligned.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace gstream {
@@ -875,32 +876,17 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
 
 std::optional<std::string> ReadFileBytes(const std::string& path,
                                          LoadStatus* status) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    ReportStatus(LoadStatus::Fail(LoadError::kIoError,
-                                  "cannot open " + path + ": " +
-                                      std::strerror(errno) + " (errno " +
-                                      std::to_string(errno) + ")"),
-                 status);
-    return std::nullopt;
-  }
   std::string bytes;
-  char buffer[1 << 14];
-  size_t got = 0;
-  errno = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    bytes.append(buffer, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  const int read_errno = errno;
-  std::fclose(f);
-  if (read_error) {
-    ReportStatus(
-        LoadStatus::Fail(LoadError::kIoError,
-                         "read error on " + path + ": " +
-                             std::strerror(read_errno) + " (errno " +
-                             std::to_string(read_errno) + ")"),
-        status);
+  const FileReadResult read = ReadWholeFile(path, &bytes);
+  if (!read.ok()) {
+    const std::string where = read.step == FileReadResult::kOpen
+                                  ? "cannot open " + path
+                                  : "read error on " + path;
+    ReportStatus(LoadStatus::Fail(LoadError::kIoError,
+                                  where + ": " + std::strerror(read.err) +
+                                      " (errno " + std::to_string(read.err) +
+                                      ")"),
+                 status);
     return std::nullopt;
   }
   ReportStatus(LoadStatus::Ok(), status);

@@ -1,6 +1,7 @@
 #include "sketch/ams.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/bit.h"
 #include "util/logging.h"
@@ -17,7 +18,6 @@ AmsSketch::AmsSketch(const AmsOptions& options, Rng& rng)
   const size_t total = options.group_size * options.groups;
   sums_.assign(total, 0);
   GSTREAM_DCHECK(IsCacheLineAligned(sums_.data()));
-  mean_scratch_.resize(options.groups);
   uint64_t fp = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < total; ++i) {
     fp = (fp ^ (sign_bank_.EvalRow(i, ReduceToField(1)) & 1)) *
@@ -78,6 +78,16 @@ void AmsSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
 }
 
 double AmsSketch::EstimateF2() const {
+  // Local scratch keeps this const query safe for concurrent readers;
+  // `groups` is O(log 1/delta), so it nearly always fits on the stack.
+  constexpr size_t kInlineGroups = 32;
+  double inline_means[kInlineGroups] = {};
+  std::vector<double> heap_means;
+  double* means = inline_means;
+  if (options_.groups > kInlineGroups) {
+    heap_means.resize(options_.groups);
+    means = heap_means.data();
+  }
   for (size_t grp = 0; grp < options_.groups; ++grp) {
     double mean = 0.0;
     for (size_t e = 0; e < options_.group_size; ++e) {
@@ -85,10 +95,10 @@ double AmsSketch::EstimateF2() const {
           static_cast<double>(sums_[grp * options_.group_size + e]);
       mean += z * z;
     }
-    mean_scratch_[grp] = mean / static_cast<double>(options_.group_size);
+    means[grp] = mean / static_cast<double>(options_.group_size);
   }
-  std::sort(mean_scratch_.begin(), mean_scratch_.end());
-  return mean_scratch_[mean_scratch_.size() / 2];
+  std::sort(means, means + options_.groups);
+  return means[options_.groups / 2];
 }
 
 size_t AmsSketch::SpaceBytes() const {

@@ -12,14 +12,13 @@
 // SIMD layer (util/simd/): each estimator's four coefficients broadcast
 // across lanes over the block's shared field powers, fused with the
 // signed-delta accumulation.  Updates are allocation-free (stack-array
-// blocking); queries are not thread-safe (EstimateF2 mutates its member
-// median scratch).
+// blocking); EstimateF2 keeps its median scratch local, so concurrent
+// queries on a quiesced sketch are safe.
 
 #ifndef GSTREAM_SKETCH_AMS_H_
 #define GSTREAM_SKETCH_AMS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "sketch/linear_sketch.h"
 #include "util/aligned.h"
@@ -69,7 +68,6 @@ class AmsSketch : public LinearSketch {
   KWiseHashBank sign_bank_;  // group_size * groups rows, 4-wise
   AlignedI64Vector sums_;    // Z per estimator, 64B-aligned base
   uint64_t hash_fingerprint_ = 0;
-  mutable std::vector<double> mean_scratch_;  // median-of-means decode
 };
 
 }  // namespace gstream

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "util/bit.h"
 #include "util/logging.h"
@@ -19,7 +20,6 @@ CountMinSketch::CountMinSketch(const CountMinOptions& options, Rng& rng)
   GSTREAM_CHECK_LT(options.buckets, uint64_t{1} << 32);
   counters_.assign(options.rows * options.buckets, 0);
   GSTREAM_DCHECK(IsCacheLineAligned(counters_.data()));
-  row_scratch_.resize(options.rows);
   uint64_t fp = 0xcbf29ce484222325ULL;
   for (size_t j = 0; j < options.rows; ++j) {
     for (uint64_t probe : {uint64_t{1}, uint64_t{0x9e3779b9}}) {
@@ -95,19 +95,26 @@ int64_t CountMinSketch::EstimateMin(ItemId item) const {
 }
 
 int64_t CountMinSketch::EstimateMedian(ItemId item) const {
+  // Local scratch keeps this const query safe for concurrent readers;
+  // `rows` is O(log 1/delta), so it nearly always fits on the stack.
+  constexpr size_t kInlineRows = 32;
+  const size_t rows = options_.rows;
+  int64_t inline_rows[kInlineRows] = {};
+  std::vector<int64_t> heap_rows;
+  int64_t* values = inline_rows;
+  if (rows > kInlineRows) {
+    heap_rows.resize(rows);
+    values = heap_rows.data();
+  }
   const uint64_t xm = ReduceToFieldLazy(item);
   const size_t b = options_.buckets;
   const uint64_t* h0 = bucket_bank_.DegreeCoeffs(0);
   const uint64_t* h1 = bucket_bank_.DegreeCoeffs(1);
-  for (size_t j = 0; j < options_.rows; ++j) {
-    row_scratch_[j] =
-        counters_[j * b + FastRange61(Eval2Wise(h0[j], h1[j], xm), b)];
+  for (size_t j = 0; j < rows; ++j) {
+    values[j] = counters_[j * b + FastRange61(Eval2Wise(h0[j], h1[j], xm), b)];
   }
-  std::nth_element(
-      row_scratch_.begin(),
-      row_scratch_.begin() + static_cast<ptrdiff_t>(row_scratch_.size() / 2),
-      row_scratch_.end());
-  return row_scratch_[row_scratch_.size() / 2];
+  std::nth_element(values, values + rows / 2, values + rows);
+  return values[rows / 2];
 }
 
 size_t CountMinSketch::SpaceBytes() const {

@@ -6,9 +6,9 @@
 // KWiseHashBank; the batched update kernel runs through the dispatched
 // SIMD layer (util/simd/) with the same blocked hash/reduce/scatter
 // structure as CountSketch, and the per-update path uses the specialized
-// Eval2Wise reduction with the row coefficients hoisted out of the loop
-// (the same caveat applies: query scratch lives in mutable members, so
-// queries are not thread-safe).  In the insertion-only model
+// Eval2Wise reduction with the row coefficients hoisted out of the loop.
+// Queries keep their scratch local, so concurrent queries on a quiesced
+// sketch are safe.  In the insertion-only model
 // EstimateMin overestimates by at most F1/b with probability 1-2^{-r}; in
 // the general turnstile model EstimateMedian is the appropriate decode.
 
@@ -16,7 +16,6 @@
 #define GSTREAM_SKETCH_COUNT_MIN_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "sketch/linear_sketch.h"
 #include "util/aligned.h"
@@ -68,7 +67,6 @@ class CountMinSketch : public LinearSketch {
   KWiseHashBank bucket_bank_;  // one row each, 2-wise
   AlignedI64Vector counters_;  // rows * buckets, row-major, 64B-aligned
   uint64_t hash_fingerprint_ = 0;
-  mutable std::vector<int64_t> row_scratch_;  // median decode
 };
 
 }  // namespace gstream

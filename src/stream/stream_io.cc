@@ -1,11 +1,14 @@
 #include "stream/stream_io.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/fault.h"
+#include "util/file_io.h"
 
 namespace gstream {
 namespace {
@@ -22,15 +25,75 @@ std::string ErrnoDetail(const char* op, int err) {
          std::to_string(err) + ")";
 }
 
-// Strips a trailing comment and surrounding whitespace.
-std::string StripLine(const std::string& line) {
-  std::string s = line;
-  const size_t hash = s.find('#');
-  if (hash != std::string::npos) s.erase(hash);
-  const size_t first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const size_t last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
+// Cuts the line starting at `*pos` (without its '\n') and moves `*pos`
+// past it; false once the text is exhausted.  As with std::getline, a
+// final line without '\n' is a line, an empty tail after the last is not.
+bool NextLine(std::string_view text, size_t* pos, std::string_view* line) {
+  if (*pos >= text.size()) return false;
+  const size_t end = std::min(text.find('\n', *pos), text.size());
+  *line = text.substr(*pos, end - *pos);
+  *pos = end + 1;
+  return true;
+}
+
+// Strips a trailing comment and surrounding " \t\r" (not '\v'/'\f': a line
+// holding only those is not blank, and fails to parse).
+std::string_view StripLine(std::string_view line) {
+  line = line.substr(0, line.find('#'));
+  const auto trim = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+  while (!line.empty() && trim(line.front())) line.remove_prefix(1);
+  while (!line.empty() && trim(line.back())) line.remove_suffix(1);
+  return line;
+}
+
+// std::isspace in the "C" locale: the separators operator>> skips.
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+// Scans one integer token of operator>>'s grammar (libstdc++, "C" locale,
+// decimal): skips leading whitespace, then an optional '+' or '-', then a
+// maximal run of at least one digit.  Stops at the first non-digit, which
+// need not be whitespace.  Returns the magnitude and the sign separately;
+// false when there is no digit or the magnitude overflows 64 bits.
+bool ScanInteger(std::string_view s, size_t* pos, uint64_t* magnitude,
+                 bool* negative) {
+  size_t i = *pos;
+  while (i < s.size() && IsSpace(s[i])) ++i;
+  *negative = false;
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
+    *negative = s[i] == '-';
+    ++i;
+  }
+  const size_t digits = i;
+  uint64_t v = 0;
+  for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i) {
+    const uint64_t d = static_cast<uint64_t>(s[i] - '0');
+    if (v > (std::numeric_limits<uint64_t>::max() - d) / 10) return false;
+    v = v * 10 + d;
+  }
+  if (i == digits) return false;
+  *pos = i;
+  *magnitude = v;
+  return true;
+}
+
+// Parses "<item> <delta>" (the stripped body of one update line); false on
+// any syntax error, overflow, or trailing token.  As with num_get, a '-' on
+// the unsigned item wraps modulo 2^64 (so "-3" reaches the domain check),
+// while the delta accepts magnitudes up to 2^63 only when negative.
+bool ParseUpdate(std::string_view s, uint64_t* item, int64_t* delta) {
+  size_t pos = 0;
+  uint64_t magnitude = 0;
+  bool negative = false;
+  if (!ScanInteger(s, &pos, &magnitude, &negative)) return false;
+  *item = negative ? 0 - magnitude : magnitude;
+  if (!ScanInteger(s, &pos, &magnitude, &negative)) return false;
+  constexpr uint64_t kMaxPositive = std::numeric_limits<int64_t>::max();
+  if (magnitude > (negative ? kMaxPositive + 1 : kMaxPositive)) return false;
+  *delta = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
+  while (pos < s.size() && IsSpace(s[pos])) ++pos;
+  return pos == s.size();
 }
 
 }  // namespace
@@ -46,21 +109,18 @@ std::string StreamToText(const Stream& stream) {
 
 std::optional<Stream> StreamFromText(const std::string& text,
                                      LoadStatus* status) {
-  std::istringstream in(text);
-  std::string line;
+  const std::string_view view(text);
+  size_t pos = 0;
   size_t line_no = 0;
+  std::string_view line;
   // Header.
   uint64_t domain = 0;
   {
-    std::string stripped;
-    size_t header_line = 0;
-    while (std::getline(in, line)) {
+    std::string_view stripped;
+    while (NextLine(view, &pos, &line)) {
       ++line_no;
       stripped = StripLine(line);
-      if (!stripped.empty()) {
-        header_line = line_no;
-        break;
-      }
+      if (!stripped.empty()) break;
     }
     if (stripped.empty()) {
       ReportStatus(LoadStatus::Fail(LoadError::kBadMagic,
@@ -68,7 +128,8 @@ std::optional<Stream> StreamFromText(const std::string& text,
                    status);
       return std::nullopt;
     }
-    std::istringstream header(stripped);
+    const size_t header_line = line_no;
+    std::istringstream header{std::string(stripped)};
     std::string magic;
     if (!(header >> magic) || magic != kMagic) {
       ReportStatus(
@@ -104,20 +165,23 @@ std::optional<Stream> StreamFromText(const std::string& text,
     }
   }
   Stream stream(domain);
-  while (std::getline(in, line)) {
+  // Each remaining line holds at most one update.
+  if (pos < view.size()) {
+    stream.Reserve(1 + static_cast<size_t>(std::count(view.begin() + pos,
+                                                      view.end(), '\n')));
+  }
+  while (NextLine(view, &pos, &line)) {
     ++line_no;
-    const std::string stripped = StripLine(line);
+    const std::string_view stripped = StripLine(line);
     if (stripped.empty()) continue;
-    std::istringstream fields(stripped);
     uint64_t item = 0;
     int64_t delta = 0;
-    std::string extra;
-    if (!(fields >> item >> delta) || (fields >> extra)) {
+    if (!ParseUpdate(stripped, &item, &delta)) {
       ReportStatus(LoadStatus::Fail(
                        LoadError::kParseError,
                        "line " + std::to_string(line_no) +
-                           ": expected '<item> <delta>', got '" + stripped +
-                           "'"),
+                           ": expected '<item> <delta>', got '" +
+                           std::string(stripped) + "'"),
                    status);
       return std::nullopt;
     }
@@ -152,7 +216,8 @@ std::optional<Stream> LoadStream(const std::string& path,
                                  LoadStatus* status) {
   // Fault sites (handles are process-lifetime, fetched once): injected
   // open/read errors take exactly the real error paths below, but with the
-  // uniform injected-fault message in place of the errno detail.
+  // uniform injected-fault message in place of the errno detail.  The read
+  // site is consulted only when the open succeeded.
   static fault::FaultPoint* const kOpenFault =
       fault::Registry::Get().GetPoint("stream_io/open_error");
   static fault::FaultPoint* const kReadFault =
@@ -165,15 +230,15 @@ std::optional<Stream> LoadStream(const std::string& path,
         status);
     return std::nullopt;
   }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+  std::string text;
+  const FileReadResult read = ReadWholeFile(path, &text);
+  if (read.step == FileReadResult::kOpen) {
     ReportStatus(LoadStatus::Fail(LoadError::kIoError,
-                                  path + ": " + ErrnoDetail("open", errno)),
+                                  path + ": " + ErrnoDetail("open", read.err)),
                  status);
     return std::nullopt;
   }
   if (kReadFault->ShouldFire()) {
-    std::fclose(f);
     ReportStatus(
         LoadStatus::Fail(LoadError::kIoError,
                          path + ": " +
@@ -181,21 +246,10 @@ std::optional<Stream> LoadStream(const std::string& path,
         status);
     return std::nullopt;
   }
-  std::string text;
-  char buffer[1 << 14];
-  size_t got = 0;
-  errno = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  const int read_errno = errno;
-  std::fclose(f);
-  if (read_error) {
-    ReportStatus(
-        LoadStatus::Fail(LoadError::kIoError,
-                         path + ": " + ErrnoDetail("read", read_errno)),
-        status);
+  if (!read.ok()) {
+    ReportStatus(LoadStatus::Fail(LoadError::kIoError,
+                                  path + ": " + ErrnoDetail("read", read.err)),
+                 status);
     return std::nullopt;
   }
   return StreamFromText(text, status);

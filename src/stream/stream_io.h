@@ -8,6 +8,26 @@
 //   <item> <delta>
 //   ...
 //
+// Exact grammar (that of operator>> in libstdc++'s "C" locale, pinned by
+// tests/stream/stream_io_test.cc and a differential test against the
+// original istringstream parser):
+//   * Lines end at '\n'; a final line without one is still read.  A '#'
+//     starts a comment running to the end of the line.  What remains is
+//     trimmed of ' ', '\t' and '\r'; a line left empty is skipped.
+//   * The first non-empty line is the header: the token "gstream-v1",
+//     then a positive <domain> (read like <item> below), then nothing.
+//   * Inside a line, tokens are separated by any run of ' ', '\t', '\v',
+//     '\f' or '\r'.  A line holding only '\v' or '\f' is not blank and
+//     fails to parse.
+//   * An integer is an optional '+' or '-' followed by one or more decimal
+//     digits; it ends at the first non-digit, which need not be a
+//     separator, so "5-3" is the update (5, -3).
+//   * <item> is unsigned 64-bit: magnitudes above 2^64-1 are parse errors,
+//     and a '-' negates modulo 2^64, so "-3" reads as 2^64-3 and then
+//     fails the domain check.  <delta> is signed 64-bit: [-2^63, 2^63-1],
+//     anything outside is a parse error.  Leading zeros are allowed.
+//   * Any token after <delta> is a parse error.
+//
 // Loading validates the header, the domain bound on every item, and
 // integer syntax; failures return std::nullopt rather than aborting, so
 // callers can handle user-supplied files gracefully.  Pass a LoadStatus

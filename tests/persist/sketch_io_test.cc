@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -418,6 +421,42 @@ TEST(SketchIoTest, MissingFileIsIoError) {
       LoadSketch(testing::TempDir() + "/no_such_sketch.gskb", &dst);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error, LoadError::kIoError);
+}
+
+TEST(SketchIoTest, ReadFileBytesPinsErrnoShape) {
+  // Open failures read "cannot open <path>: <strerror> (errno N)"; a
+  // directory opens but fails the read with "read error on <path>: ...".
+  const std::string missing = testing::TempDir() + "/no_such_file.gskb";
+  LoadStatus status;
+  EXPECT_FALSE(ReadFileBytes(missing, &status).has_value());
+  EXPECT_EQ(status.error, LoadError::kIoError);
+  EXPECT_EQ(status.message, "cannot open " + missing + ": " +
+                                std::strerror(ENOENT) + " (errno " +
+                                std::to_string(ENOENT) + ")");
+  const std::string dir = testing::TempDir();
+  EXPECT_FALSE(ReadFileBytes(dir, &status).has_value());
+  EXPECT_EQ(status.error, LoadError::kIoError);
+  EXPECT_EQ(status.message, "read error on " + dir + ": " +
+                                std::strerror(EISDIR) + " (errno " +
+                                std::to_string(EISDIR) + ")");
+}
+
+TEST(SketchIoTest, ReadFileBytesReturnsWholeFile) {
+  // Larger than any fixed read chunk, with every byte value present.
+  std::string bytes;
+  for (size_t i = 0; i < (1 << 17) + 3; ++i) {
+    bytes.push_back(static_cast<char>(i * 131 % 256));
+  }
+  const std::string path = testing::TempDir() + "/sketch_io_whole.bin";
+  ASSERT_TRUE(WriteFileAtomic(path, bytes));
+  LoadStatus status;
+  const std::optional<std::string> read = ReadFileBytes(path, &status);
+  ASSERT_TRUE(read.has_value()) << status.message;
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(*read, bytes);
+  ASSERT_TRUE(WriteFileAtomic(path, ""));
+  EXPECT_EQ(ReadFileBytes(path), std::optional<std::string>(""));
+  std::remove(path.c_str());
 }
 
 TEST(SketchIoTest, AtomicWriteSurvivesEveryInjectedFault) {

@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "stream/exact.h"
@@ -109,6 +110,20 @@ TEST(StreamIoTest, RealIoErrorMessagePinsErrnoShape) {
       << status.message;
 }
 
+TEST(StreamIoTest, RealReadErrorMessagePinsErrnoShape) {
+  // A directory opens for reading but read(2) fails with EISDIR: the read
+  // step's "<path>: read failed: <strerror> (errno N)" shape.
+  const std::string dir = ::testing::TempDir();
+  LoadStatus status;
+  EXPECT_FALSE(LoadStream(dir, &status).has_value());
+  EXPECT_EQ(status.error, LoadError::kIoError);
+  EXPECT_EQ(status.message.rfind(dir + ": read failed: ", 0), 0u)
+      << status.message;
+  EXPECT_NE(status.message.find("(errno " + std::to_string(EISDIR) + ")"),
+            std::string::npos)
+      << status.message;
+}
+
 // ---------------------------------------------------------------------------
 // Corruption coverage: every malformed input comes back as (nullopt,
 // reason, line number) -- never UB, never abort.  The reason codes are
@@ -170,6 +185,60 @@ TEST(StreamIoCorruptionTest, IntegerOverflow) {
             LoadError::kParseError);
   EXPECT_EQ(StatusOf("gstream-v1 99999999999999999999999\n").error,
             LoadError::kParseError);
+}
+
+// ---------------------------------------------------------------------------
+// Grammar pins: the update-line grammar is operator>>'s (libstdc++, "C"
+// locale).  Each corner below is accepted or rejected on purpose; change
+// one deliberately, never as a side effect of a parser rewrite.
+// ---------------------------------------------------------------------------
+
+TEST(StreamIoGrammarTest, PlusSignAccepted) {
+  const auto loaded = StreamFromText("gstream-v1 16\n+5 2\n");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->updates()[0].item, 5u);
+  EXPECT_EQ(loaded->updates()[0].delta, 2);
+}
+
+TEST(StreamIoGrammarTest, SignGluedToItemSeparatesDelta) {
+  const auto loaded = StreamFromText("gstream-v1 16\n5-3\n");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->updates()[0].item, 5u);
+  EXPECT_EQ(loaded->updates()[0].delta, -3);
+}
+
+TEST(StreamIoGrammarTest, NegativeItemWrapsToDomainError) {
+  const LoadStatus status = StatusOf("gstream-v1 16\n-3 1\n");
+  EXPECT_EQ(status.error, LoadError::kDomainError);
+  EXPECT_NE(status.message.find("18446744073709551613"), std::string::npos)
+      << status.message;
+}
+
+TEST(StreamIoGrammarTest, VerticalTabSeparatesTokens) {
+  const auto loaded = StreamFromText("gstream-v1 16\n1\v2\n3\f4\n");
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->length(), 2u);
+  EXPECT_EQ(loaded->updates()[0].delta, 2);
+  EXPECT_EQ(loaded->updates()[1].item, 3u);
+}
+
+TEST(StreamIoGrammarTest, DeltaInt64MinAcceptedOneBelowRejected) {
+  const auto loaded =
+      StreamFromText("gstream-v1 16\n1 -9223372036854775808\n");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->updates()[0].delta, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(StatusOf("gstream-v1 16\n1 -9223372036854775809\n").error,
+            LoadError::kParseError);
+  EXPECT_EQ(StatusOf("gstream-v1 16\n1 9223372036854775808\n").error,
+            LoadError::kParseError);
+}
+
+TEST(StreamIoGrammarTest, LastLineWithoutNewlineIsRead) {
+  const auto loaded = StreamFromText("gstream-v1 16\n1 2\n3 4");
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->length(), 2u);
+  EXPECT_EQ(loaded->updates()[1].item, 3u);
+  EXPECT_EQ(loaded->updates()[1].delta, 4);
 }
 
 TEST(StreamIoCorruptionTest, SuccessReportsOk) {
