@@ -51,17 +51,13 @@ void AmsSketch::Update(ItemId item, int64_t delta) {
 }
 
 void AmsSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
-  // Estimator-major over L1-resident blocks through the dispatched SIMD
-  // layer: the per-item field powers are computed once per block, then
-  // each estimator's fused eval4 + signed-accumulate kernel sweeps the
-  // block with its four coefficients broadcast across lanes.  Wraparound
-  // addition mod 2^64 is associative, so the per-block partial sums
-  // leave sums_ bit-identical to the sequential loop under any tier.
+  // Per L1-resident block: the per-item field powers are computed once,
+  // then one dispatched call sweeps the whole sign bank with estimators in
+  // the SIMD lanes and each item's powers broadcast -- the cost per item
+  // is the same for a 1-item level batch as for a full block.  Wraparound
+  // addition mod 2^64 is associative, so sums_ is bit-identical to the
+  // sequential loop under any tier.
   const simd::SimdOps& ops = simd::Ops();
-  const uint64_t* c0 = sign_bank_.DegreeCoeffs(0);
-  const uint64_t* c1 = sign_bank_.DegreeCoeffs(1);
-  const uint64_t* c2 = sign_bank_.DegreeCoeffs(2);
-  const uint64_t* c3 = sign_bank_.DegreeCoeffs(3);
   alignas(64) uint64_t xm[simd::kSimdBlock];
   alignas(64) uint64_t x2[simd::kSimdBlock];
   alignas(64) uint64_t x3[simd::kSimdBlock];
@@ -69,11 +65,8 @@ void AmsSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
   for (size_t base = 0; base < n; base += simd::kSimdBlock) {
     const size_t m = std::min(simd::kSimdBlock, n - base);
     ops.prepare_batch(updates + base, m, xm, x2, x3, delta);
-    for (size_t e = 0; e < sums_.size(); ++e) {
-      sums_[e] = WrapAdd(
-          sums_[e], ops.eval4_signed_sum(c0[e], c1[e], c2[e], c3[e], xm, x2,
-                                         x3, delta, m));
-    }
+    ops.eval4_sign_accumulate(sign_bank_.DegreeCoeffs(0), sums_.size(), xm,
+                              x2, x3, delta, m, sums_.data());
   }
 }
 

@@ -8,12 +8,14 @@
 // 1/delta) the estimate is within (1 +- eps) F2 with probability 1 - delta.
 //
 // The sign hashes live in one structure-of-arrays KWiseHashBank and the
-// batched update kernel walks (estimator x block) through the dispatched
-// SIMD layer (util/simd/): each estimator's four coefficients broadcast
-// across lanes over the block's shared field powers, fused with the
-// signed-delta accumulation.  Updates are allocation-free (stack-array
-// blocking); EstimateF2 keeps its median scratch local, so concurrent
-// queries on a quiesced sketch are safe.
+// batched update kernel makes one dispatched SIMD call (util/simd/) per
+// block: estimators occupy the lanes with their coefficients loaded
+// straight from the bank, each item's shared field powers are broadcast,
+// and the signed deltas accumulate in registers -- so a block of a few
+// items (the deep levels of the g-sum stack) costs no more per item than
+// a full one.  Updates are allocation-free (stack-array blocking);
+// EstimateF2 keeps its median scratch local, so concurrent queries on a
+// quiesced sketch are safe.
 
 #ifndef GSTREAM_SKETCH_AMS_H_
 #define GSTREAM_SKETCH_AMS_H_

@@ -11,15 +11,41 @@
 namespace gstream {
 namespace {
 
-// Median of a small scratch vector (destroys order).
+// Writes to out[i] the median of column i of a rows x m staging area
+// (row j of column i at vals[j * m + i]): the element of rank rows / 2 in
+// sorted order -- the upper middle for even counts, exactly the value
+// std::nth_element places at rows / 2.  Branch-free selection: each of
+// rows - 1 - rows / 2 bubble passes of min/max compare-exchanges carries
+// the largest remaining value of every column to the top, after which the
+// median is the maximum of rows 0..rows/2.  Items are the innermost loop,
+// so all columns advance in lockstep with no data-dependent branch -- for
+// the O(log 1/delta) rows of a sketch this beats a per-item nth_element,
+// whose partition branches mispredict.  Clobbers the staging.
 template <typename T>
-T MedianInPlace(std::vector<T>& v) {
-  GSTREAM_CHECK(!v.empty());
-  const size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(mid),
-                   v.end());
-  return v[mid];
+void ColumnMedians(T* vals, size_t m, size_t rows, T* out) {
+  const size_t mid = rows / 2;
+  for (size_t top = rows - 1; top > mid; --top) {
+    for (size_t j = 0; j < top; ++j) {
+      T* lower = vals + j * m;
+      T* upper = lower + m;
+      for (size_t i = 0; i < m; ++i) {
+        const T a = lower[i];
+        const T b = upper[i];
+        lower[i] = b < a ? b : a;
+        upper[i] = b < a ? a : b;
+      }
+    }
+  }
+  for (size_t i = 0; i < m; ++i) out[i] = vals[i];
+  for (size_t j = 1; j <= mid; ++j) {
+    const T* row = vals + j * m;
+    for (size_t i = 0; i < m; ++i) out[i] = out[i] < row[i] ? row[i] : out[i];
+  }
 }
+
+// Row bound for the query paths' stack scratch; a sketch has
+// O(log 1/delta) rows, so larger geometries (heap scratch) are rare.
+constexpr size_t kInlineRows = 8;
 
 // Strength order for candidate maintenance: larger |estimate| first, item
 // id as the total-order tiebreak so pruning is deterministic regardless of
@@ -42,8 +68,6 @@ CountSketch::CountSketch(const CountSketchOptions& options, Rng& rng)
   GSTREAM_CHECK_LT(options.buckets, uint64_t{1} << 32);
   counters_.assign(options.rows * options.buckets, 0);
   GSTREAM_DCHECK(IsCacheLineAligned(counters_.data()));
-  row_scratch_.resize(options.rows);
-  f2_scratch_.resize(options.rows);
   // Fingerprint the drawn hash functions by probing them; two sketches
   // share hashes iff they were constructed from equal-state Rngs.
   uint64_t fp = 0xcbf29ce484222325ULL;
@@ -113,24 +137,37 @@ void CountSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
 }
 
 int64_t CountSketch::Estimate(ItemId item) const {
+  // Local scratch keeps this const query safe for concurrent readers.
+  int64_t inline_rows[kInlineRows] = {};
+  std::vector<int64_t> heap_rows;
+  int64_t* values = inline_rows;
+  if (options_.rows > kInlineRows) {
+    heap_rows.resize(options_.rows);
+    values = heap_rows.data();
+  }
   uint64_t xm, x2, x3;
   FieldPowers3Lazy(item, &xm, &x2, &x3);
   const size_t b = options_.buckets;
   for (size_t j = 0; j < options_.rows; ++j) {
     const uint64_t h = RowHash(j, xm, x2, x3);
     const int64_t c = counters_[j * b + FastRange61(h, b)];
-    row_scratch_[j] = SignByLowBit(c, h);
+    values[j] = SignByLowBit(c, h);
   }
-  return MedianInPlace(row_scratch_);
+  int64_t median;
+  ColumnMedians(values, 1, options_.rows, &median);
+  return median;
 }
 
 void CountSketch::EstimateAllInto(const ItemId* items, size_t n,
                                   int64_t* out) const {
   // Item-major batched decode: same block structure as UpdateBatch, but
-  // gathering sign-adjusted counters into a rows x kSimdBlock staging
-  // area, then taking each item's median across rows.  The staged values
-  // are exactly the row_scratch_ contents Estimate builds per item, so
-  // each output is bit-identical to Estimate(items[i]).
+  // gathering sign-adjusted counters into a rows x m staging area (row j
+  // of a block of m items at vals[j * m]), then taking the median down
+  // each item's column.  The staged column holds exactly the values
+  // Estimate builds per item, and both take the same ColumnMedians, so
+  // each output is bit-identical to Estimate(items[i]).  The staging is
+  // local (stack, or heap past kInlineRows rows), so concurrent const
+  // queries are safe.
   const simd::SimdOps& ops = simd::Ops();
   const size_t b = options_.buckets;
   const size_t rows = options_.rows;
@@ -138,10 +175,13 @@ void CountSketch::EstimateAllInto(const ItemId* items, size_t n,
   const uint64_t* d1 = hash_bank_.DegreeCoeffs(1);
   const uint64_t* d2 = hash_bank_.DegreeCoeffs(2);
   const uint64_t* d3 = hash_bank_.DegreeCoeffs(3);
-  if (est_scratch_.size() < rows * simd::kSimdBlock) {
-    est_scratch_.resize(rows * simd::kSimdBlock);
+  alignas(64) int64_t inline_vals[kInlineRows * simd::kSimdBlock];
+  std::vector<int64_t> heap_vals;
+  int64_t* vals = inline_vals;
+  if (rows > kInlineRows) {
+    heap_vals.resize(rows * simd::kSimdBlock);
+    vals = heap_vals.data();
   }
-  int64_t* vals = est_scratch_.data();
   // Unit deltas turn eval4_bucket's signed-delta output into the row sign
   // itself, so the gather applies the sign with one multiply.
   static constexpr std::array<int64_t, simd::kSimdBlock> kOnes = [] {
@@ -160,15 +200,9 @@ void CountSketch::EstimateAllInto(const ItemId* items, size_t n,
     for (size_t j = 0; j < rows; ++j) {
       ops.eval4_bucket(d0[j], d1[j], d2[j], d3[j], xm, x2, x3, kOnes.data(),
                        b, m, idx, sign);
-      ops.gather_signed(counters_.data() + j * b, idx, sign, m,
-                        vals + j * simd::kSimdBlock);
+      ops.gather_signed(counters_.data() + j * b, idx, sign, m, vals + j * m);
     }
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < rows; ++j) {
-        row_scratch_[j] = vals[j * simd::kSimdBlock + i];
-      }
-      out[base + i] = MedianInPlace(row_scratch_);
-    }
+    ColumnMedians(vals, m, rows, out + base);
   }
 }
 
@@ -180,6 +214,14 @@ std::vector<int64_t> CountSketch::EstimateAll(
 }
 
 double CountSketch::EstimateF2() const {
+  // Local scratch keeps this const query safe for concurrent readers.
+  double inline_rows[kInlineRows] = {};
+  std::vector<double> heap_rows;
+  double* sums = inline_rows;
+  if (options_.rows > kInlineRows) {
+    heap_rows.resize(options_.rows);
+    sums = heap_rows.data();
+  }
   for (size_t j = 0; j < options_.rows; ++j) {
     double sum = 0.0;
     for (size_t b = 0; b < options_.buckets; ++b) {
@@ -187,9 +229,11 @@ double CountSketch::EstimateF2() const {
           static_cast<double>(counters_[j * options_.buckets + b]);
       sum += c * c;
     }
-    f2_scratch_[j] = sum;
+    sums[j] = sum;
   }
-  return MedianInPlace(f2_scratch_);
+  double median;
+  ColumnMedians(sums, 1, options_.rows, &median);
+  return median;
 }
 
 size_t CountSketch::SpaceBytes() const {

@@ -19,14 +19,15 @@
 // The coefficients live in a structure-of-arrays KWiseHashBank, and the
 // batched paths run through the runtime-dispatched SIMD kernel layer
 // (util/simd/): UpdateBatch splits each L1-sized block into a field-power
-// precompute, a per-row lane-parallel Eval4Wise pass, a vectorized
-// FastRange61 pass, and a scalar counter scatter, all over small stack
-// arrays.  Mersenne-61 arithmetic is exact in every tier, so Update and
-// UpdateBatch produce bit-identical counters under any dispatch
-// (scalar/AVX2/AVX-512).  Query scratch (median buffers, the batched
-// decode staging) is hoisted into mutable members, making the steady-state
-// update and query paths allocation-free.  Queries are not thread-safe for
-// that reason.
+// precompute, then per row a lane-parallel fused Eval4Wise + FastRange61
+// pass and a counter scatter, all over small stack arrays.  Mersenne-61
+// arithmetic is exact in every tier, so Update and UpdateBatch produce
+// bit-identical counters under any dispatch (scalar/AVX2/AVX-512).  Query
+// scratch (median buffers, the batched decode staging) lives on the
+// caller's stack, so the steady-state update and query paths are
+// allocation-free (up to an inline row bound; larger geometries fall back
+// to local heap scratch) and const queries on a quiesced sketch are safe
+// from concurrent readers.
 //
 // Two decoding modes are provided:
 //   * TrackTopK: a running candidate set maintained during the stream (the
@@ -125,13 +126,6 @@ class CountSketch : public LinearSketch {
   KWiseHashBank hash_bank_;      // one 4-wise polynomial per row
   AlignedI64Vector counters_;    // rows * buckets, row-major, 64B-aligned
   uint64_t hash_fingerprint_ = 0;  // guards MergeFrom
-  // Reusable query scratch (median buffers and the rows x kSimdBlock
-  // staging of the batched decode); members so the steady-state query
-  // paths never allocate.  The update path needs none: UpdateBatch blocks
-  // through stack arrays.
-  mutable std::vector<int64_t> row_scratch_;
-  mutable std::vector<int64_t> est_scratch_;
-  mutable std::vector<double> f2_scratch_;
 };
 
 // CountSketch plus a running top-k candidate tracker: after each update the

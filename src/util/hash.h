@@ -118,12 +118,17 @@ inline uint64_t Eval4Wise(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
   const __uint128_t sum = static_cast<__uint128_t>(c1) * x +
                           static_cast<__uint128_t>(c2) * x2 +
                           static_cast<__uint128_t>(c3) * x3 + c0;
-  // Specialized reduction: sum < 2^125, so hi < 2^61 and both folds fit in
-  // 64-bit registers (sum >> 61 < 2^64, first fold < 2^61 + 2^64/8 + ...
-  // < 2^64), sparing the 128-bit carry chains of the generic ModMersenne61.
+  // Specialized reduction in 64-bit registers, sparing the 128-bit carry
+  // chains of the generic ModMersenne61: sum < 2^126, so hi < 2^62, and
+  //   sum = lo + 2^64 hi == (lo & p) + (lo >> 61) + 8 hi
+  //   8 hi == ((hi << 3) & p) + (hi >> 58)          (2^61 == 1 mod p),
+  // four terms summing below 2^62 + 32; one fold then leaves <= p + 2.
+  // (Folding (hi << 3) | (lo >> 61) as one word would drop bit 61 of hi,
+  // which a sum above 2^125 sets -- reachable with x2, x3 near 2^63.)
   const uint64_t lo = static_cast<uint64_t>(sum);
   const uint64_t hi = static_cast<uint64_t>(sum >> 64);
-  uint64_t r = (lo & kMersenne61) + ((hi << 3) | (lo >> 61));
+  uint64_t r = (lo & kMersenne61) + (lo >> 61) +
+               ((hi << 3) & kMersenne61) + (hi >> 58);
   r = (r & kMersenne61) + (r >> 61);
   if (r >= kMersenne61) r -= kMersenne61;
   return r;

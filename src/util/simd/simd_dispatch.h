@@ -5,9 +5,11 @@
 // a chunk of stream items (Eval4Wise / the 2-wise fused multiply-add),
 // reducing the hash onto a bucket range (FastRange61), and scattering
 // signed deltas into counters.  The first two are data-parallel across the
-// items of a chunk -- the coefficients are loop-invariant per row, and
-// Mersenne-61 arithmetic is exact in 64-bit lanes -- so this layer lifts
-// them into an ISA-dispatched function table:
+// items of a chunk (the coefficients are loop-invariant per row) or, for
+// the AMS bank's many rows, across the rows (the item powers are
+// loop-invariant per item); Mersenne-61 arithmetic is exact in 64-bit
+// lanes either way, so this layer lifts them into an ISA-dispatched
+// function table:
 //
 //   * kScalar  -- the reference tier, built from the util/hash.h primitives
 //                 verbatim.  Always available; the other tiers must agree
@@ -59,12 +61,14 @@ inline constexpr size_t kSimdBlock = 512;
 // the inputs.  "Canonical" means a fully reduced field element in
 // [0, 2^61 - 1); "lazy" means congruent mod 2^61 - 1 within the documented
 // bound.  Tail elements (n not a multiple of the lane width) are handled
-// inside each kernel via the scalar reference path.
+// inside each kernel via the scalar reference path, except in
+// eval4_sign_accumulate, whose lanes run over rows and mask the last
+// partial group.
 struct SimdOps {
   // Deinterleaves a chunk of updates and precomputes the shared per-item
   // field powers: xm[i] lazy (<= p + 7), x2[i]/x3[i] lazy (< 2^63),
-  // delta[i] = updates[i].delta.  The powers feed eval4_row /
-  // eval4_signed_sum of the same tier.
+  // delta[i] = updates[i].delta.  The powers feed eval4_bucket /
+  // eval4_sign_accumulate of the same tier.
   void (*prepare_batch)(const Update* updates, size_t n, uint64_t* xm,
                         uint64_t* x2, uint64_t* x3, int64_t* delta);
 
@@ -77,21 +81,6 @@ struct SimdOps {
   // prepare_batch): xm[i] lazy (<= p + 7), x2[i]/x3[i] lazy (< 2^63).
   void (*field_powers)(const uint64_t* keys, size_t n, uint64_t* xm,
                        uint64_t* x2, uint64_t* x3);
-
-  // out[i] = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]) -- canonical.
-  // Inputs are lazy within the prepare_batch/field_powers bounds.
-  void (*eval4_row)(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
-                    const uint64_t* xm, const uint64_t* x2,
-                    const uint64_t* x3, size_t n, uint64_t* out);
-
-  // out[i] = (a1 * xm[i] + a0) mod p -- canonical (== Eval2Wise /
-  // MulAddMod61 of the same inputs).  xm lazy (<= p + 7), a0, a1 < p.
-  void (*eval2_row)(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
-                    uint64_t* out);
-
-  // out[i] = FastRange61(h[i], range).  h canonical, 1 <= range < 2^32.
-  void (*fastrange)(const uint64_t* h, size_t n, uint64_t range,
-                    uint32_t* out);
 
   // Fused CountSketch row kernel: with h_i the canonical Eval4Wise value,
   // writes idx[i] = FastRange61(h_i, range) and the signed delta
@@ -108,14 +97,19 @@ struct SimdOps {
   void (*eval2_bucket)(uint64_t a0, uint64_t a1, const uint64_t* xm,
                        uint64_t range, size_t n, uint32_t* idx);
 
-  // Returns sum_i (Eval4Wise(c0..c3, xm[i], x2[i], x3[i]) & 1 ? delta[i]
-  //                                                          : -delta[i])
-  // with int64 wraparound semantics identical to the sequential loop (the
-  // AMS estimator accumulation, fused so the hashes never hit memory).
-  int64_t (*eval4_signed_sum)(uint64_t c0, uint64_t c1, uint64_t c2,
-                              uint64_t c3, const uint64_t* xm,
-                              const uint64_t* x2, const uint64_t* x3,
-                              const int64_t* delta, size_t n);
+  // The AMS estimator update, for every row e < rows of a 4-wise bank:
+  //   sums[e] += sum_i (Eval4Wise(row e, xm[i], x2[i], x3[i]) & 1
+  //                         ? delta[i] : -delta[i])
+  // with int64 wraparound (equal to the sequential loop's bits, since
+  // wraparound addition is associative).  `coeffs` is the KWiseHashBank
+  // degree-major layout: row e's degree-d coefficient (canonical, < p) is
+  // coeffs[d * rows + e].  Vector tiers put rows in the lanes and
+  // broadcast each item's powers, so one call covers the whole bank no
+  // matter how few items the block holds.
+  void (*eval4_sign_accumulate)(const uint64_t* coeffs, size_t rows,
+                                const uint64_t* xm, const uint64_t* x2,
+                                const uint64_t* x3, const int64_t* delta,
+                                size_t n, int64_t* sums);
 
   // masks[i] |= ((a1 * xm[i] + a0) mod p & 1) << bit, for bit < 64 -- the
   // g_np per-trial sampling indicator, packed one trial per bit.

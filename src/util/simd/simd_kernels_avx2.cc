@@ -20,7 +20,8 @@
 // Canonicalization (Canonical61) folds twice more and conditionally
 // subtracts p, yielding the unique representative in [0, p) -- hence
 // bit-identical agreement with the scalar tier for every kernel output.
-// Tails (n % 4) run through the simd_scalar_ref.h functions.
+// Tails (n % 4) of the item-lane kernels run through the simd_scalar_ref.h
+// functions; the row-lane AMS kernel masks its last row group.
 
 #include "util/simd/simd_dispatch.h"
 
@@ -71,8 +72,9 @@ inline __m256i Canonical61(__m256i v) {
   return _mm256_sub_epi64(v, _mm256_and_si256(ge, P()));
 }
 
-// Canonical c0 + c1 x + c2 x^2 + c3 x^3 mod p for one row's coefficient
-// broadcast and four items' lazy powers.  The three lazy products
+// Canonical c0 + c1 x + c2 x^2 + c3 x^3 mod p, lane by lane: one row's
+// coefficients broadcast over four items' lazy powers, or four rows'
+// coefficients over one item's broadcast powers.  The three lazy products
 // (< 2^61 + 4 each) plus c0 (< p) sum below 2^63 + 16 -- no lane wraps --
 // and Canonical61 accepts any uint64.
 inline __m256i Eval4Lanes(__m256i c0, __m256i c1, __m256i c2, __m256i c3,
@@ -91,8 +93,11 @@ inline void Store(uint64_t* p_, __m256i v) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p_), v);
 }
 
-// In-register FastRange61 (see Avx2FastRange for the derivation); h lanes
-// canonical, range < 2^32.  Returns 64-bit lanes holding 32-bit buckets.
+// In-register FastRange61; h lanes canonical, range < 2^32.  Returns
+// 64-bit lanes holding 32-bit buckets.  (h * range) >> 61 for h < 2^61:
+// with A = low32(h)*range and B = high29(h)*range, the product is
+// 2^32 (B + (A >> 32)) + low32(A) and the low 32 bits cannot carry into
+// bit 61, so the bucket is (B + (A >> 32)) >> 29.
 inline __m256i FastRangeLanes(__m256i h, __m256i range) {
   const __m256i a = _mm256_mul_epu32(h, range);
   const __m256i b = _mm256_mul_epu32(_mm256_srli_epi64(h, 32), range);
@@ -165,47 +170,6 @@ void Avx2FieldPowers(const uint64_t* keys, size_t n, uint64_t* xm,
   ScalarFieldPowers(keys + i, n - i, xm + i, x2 + i, x3 + i);
 }
 
-void Avx2Eval4Row(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
-                  const uint64_t* xm, const uint64_t* x2, const uint64_t* x3,
-                  size_t n, uint64_t* out) {
-  const __m256i C0 = _mm256_set1_epi64x(static_cast<long long>(c0));
-  const __m256i C1 = _mm256_set1_epi64x(static_cast<long long>(c1));
-  const __m256i C2 = _mm256_set1_epi64x(static_cast<long long>(c2));
-  const __m256i C3 = _mm256_set1_epi64x(static_cast<long long>(c3));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    Store(out + i, Eval4Lanes(C0, C1, C2, C3, Load(xm + i), Load(x2 + i),
-                              Load(x3 + i)));
-  }
-  ScalarEval4Row(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, n - i, out + i);
-}
-
-void Avx2Eval2Row(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
-                  uint64_t* out) {
-  const __m256i A0 = _mm256_set1_epi64x(static_cast<long long>(a0));
-  const __m256i A1 = _mm256_set1_epi64x(static_cast<long long>(a1));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i s = _mm256_add_epi64(MulMod61Lanes(A1, Load(xm + i)), A0);
-    Store(out + i, Canonical61(s));
-  }
-  ScalarEval2Row(a0, a1, xm + i, n - i, out + i);
-}
-
-void Avx2FastRange(const uint64_t* h, size_t n, uint64_t range,
-                   uint32_t* out) {
-  // (h * range) >> 61 for h < 2^61, range < 2^32:  with A = low32(h)*range
-  // and B = high29(h)*range, the product is 2^32 (B + (A >> 32)) + low32(A)
-  // and the low 32 bits cannot carry into bit 61, so the bucket is
-  // (B + (A >> 32)) >> 29.
-  const __m256i R = _mm256_set1_epi64x(static_cast<long long>(range));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    StoreNarrow32(out + i, FastRangeLanes(Load(h + i), R));
-  }
-  ScalarFastRange(h + i, n - i, range, out + i);
-}
-
 void Avx2Eval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
                      const uint64_t* xm, const uint64_t* x2,
                      const uint64_t* x3, const int64_t* delta, uint64_t range,
@@ -245,36 +209,42 @@ void Avx2Eval2Bucket(uint64_t a0, uint64_t a1, const uint64_t* xm,
   ScalarEval2Bucket(a0, a1, xm + i, range, n - i, idx + i);
 }
 
-int64_t Avx2Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
-                           const uint64_t* xm, const uint64_t* x2,
-                           const uint64_t* x3, const int64_t* delta,
-                           size_t n) {
-  const __m256i C0 = _mm256_set1_epi64x(static_cast<long long>(c0));
-  const __m256i C1 = _mm256_set1_epi64x(static_cast<long long>(c1));
-  const __m256i C2 = _mm256_set1_epi64x(static_cast<long long>(c2));
-  const __m256i C3 = _mm256_set1_epi64x(static_cast<long long>(c3));
+// The AMS bank update with rows in the lanes (see the AVX-512 tier): each
+// group of 4 rows loads its coefficients from the degree-major bank as the
+// MulMod61Lanes `a` operand, every item's powers are broadcast as `b`, and
+// the signed deltas accumulate in a register.  The last partial group runs
+// under a vpmaskmovq lane mask.
+void Avx2Eval4SignAccumulate(const uint64_t* coeffs, size_t rows,
+                             const uint64_t* xm, const uint64_t* x2,
+                             const uint64_t* x3, const int64_t* delta,
+                             size_t n, int64_t* sums) {
   const __m256i one = _mm256_set1_epi64x(1);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i h = Eval4Lanes(C0, C1, C2, C3, Load(xm + i), Load(x2 + i),
-                                 Load(x3 + i));
-    // m = (h & 1) - 1: all-ones where the sign is -1, zero where +1;
-    // (d ^ m) - m negates exactly those lanes (two's complement identity).
-    const __m256i m = _mm256_sub_epi64(_mm256_and_si256(h, one), one);
-    const __m256i d = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(delta + i));
-    const __m256i sd = _mm256_sub_epi64(_mm256_xor_si256(d, m), m);
-    acc = _mm256_add_epi64(acc, sd);
+  const __m256i lane_ids = _mm256_setr_epi64x(0, 1, 2, 3);
+  for (size_t e = 0; e < rows; e += 4) {
+    const __m256i live = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(rows - e)), lane_ids);
+    const auto masked_load = [&](const void* src) {
+      return _mm256_maskload_epi64(static_cast<const long long*>(src), live);
+    };
+    const __m256i C0 = masked_load(coeffs + e);
+    const __m256i C1 = masked_load(coeffs + rows + e);
+    const __m256i C2 = masked_load(coeffs + 2 * rows + e);
+    const __m256i C3 = masked_load(coeffs + 3 * rows + e);
+    __m256i acc = masked_load(sums + e);
+    for (size_t i = 0; i < n; ++i) {
+      const __m256i h = Eval4Lanes(
+          C0, C1, C2, C3, _mm256_set1_epi64x(static_cast<long long>(xm[i])),
+          _mm256_set1_epi64x(static_cast<long long>(x2[i])),
+          _mm256_set1_epi64x(static_cast<long long>(x3[i])));
+      // m = (h & 1) - 1: all-ones where the sign is -1, zero where +1;
+      // (d ^ m) - m negates exactly those lanes (two's complement identity).
+      const __m256i m = _mm256_sub_epi64(_mm256_and_si256(h, one), one);
+      const __m256i d = _mm256_set1_epi64x(delta[i]);
+      acc = _mm256_add_epi64(acc,
+                             _mm256_sub_epi64(_mm256_xor_si256(d, m), m));
+    }
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(sums + e), live, acc);
   }
-  // Lane sums + tail; int64 addition is associative under wraparound, so
-  // the total matches the sequential accumulation bit-for-bit.
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t z = WrapAdd(WrapAdd(lanes[0], lanes[1]), WrapAdd(lanes[2], lanes[3]));
-  z = WrapAdd(z, ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i,
-                                      delta + i, n - i));
-  return z;
 }
 
 // AVX2 has no scatter instruction and no conflict detection, so the
@@ -348,10 +318,15 @@ void Avx2Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
 
 const SimdOps* GetAvx2Ops() {
   static const SimdOps ops = {
-      &Avx2PrepareBatch,   &Avx2PrepareBatch2, &Avx2FieldPowers,
-      &Avx2Eval4Row,       &Avx2Eval2Row,      &Avx2FastRange,
-      &Avx2Eval4Bucket,    &Avx2Eval2Bucket,   &Avx2Eval4SignedSum,
-      &Avx2Eval2ParityOr,  &Avx2ScatterAdd,    &Avx2ScatterAddSigned,
+      &Avx2PrepareBatch,
+      &Avx2PrepareBatch2,
+      &Avx2FieldPowers,
+      &Avx2Eval4Bucket,
+      &Avx2Eval2Bucket,
+      &Avx2Eval4SignAccumulate,
+      &Avx2Eval2ParityOr,
+      &Avx2ScatterAdd,
+      &Avx2ScatterAddSigned,
       &Avx2GatherSigned,
   };
   return &ops;

@@ -30,13 +30,16 @@
 // 2^63.  Canonicalization (Canonical61) then folds twice and
 // conditionally subtracts p, yielding the unique representative in
 // [0, p) -- hence bit-identical agreement with the scalar tier for every
-// kernel output.  Tails (n % 8) run through simd_scalar_ref.h.
+// kernel output.  Tails (n % 8) of the item-lane kernels run through
+// simd_scalar_ref.h; the row-lane AMS kernel masks its last row group.
 
 #include "util/simd/simd_dispatch.h"
 
 #if defined(GSTREAM_SIMD_BUILD_AVX512)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "util/hash.h"
 #include "util/simd/simd_scalar_ref.h"
@@ -78,12 +81,11 @@ inline Limbs52 InitLimbs(uint64_t c0) {
                  _mm512_setzero_si512()};
 }
 
-// One broadcast coefficient c < 2^61, pre-split by the caller into
-// cl = c mod 2^52 and ch = c >> 52 (< 2^9).
-inline void MulAccumulate(Limbs52* acc, __m512i cl, __m512i ch, __m512i v) {
-  const __m512i mask52 = _mm512_set1_epi64(kMask52);
-  const __m512i vl = _mm512_and_si512(v, mask52);
-  const __m512i vh = _mm512_srli_epi64(v, 52);  // < 2^11 for v < 2^63
+// c * v for a coefficient c < 2^61, pre-split by the caller into
+// cl = c mod 2^52 and ch = c >> 52 (< 2^9), and a lazy v < 2^63 split into
+// vl = v mod 2^52 and vh = v >> 52 (< 2^11).
+inline void MulAccumulateSplit(Limbs52* acc, __m512i cl, __m512i ch,
+                               __m512i vl, __m512i vh) {
   acc->lo = _mm512_madd52lo_epu64(acc->lo, cl, vl);
   acc->hi = _mm512_madd52hi_epu64(acc->hi, cl, vl);
   acc->hi = _mm512_madd52lo_epu64(acc->hi, cl, vh);
@@ -91,6 +93,13 @@ inline void MulAccumulate(Limbs52* acc, __m512i cl, __m512i ch, __m512i v) {
   acc->hi = _mm512_madd52lo_epu64(acc->hi, ch, vl);
   acc->top = _mm512_madd52hi_epu64(acc->top, ch, vl);
   acc->top = _mm512_madd52lo_epu64(acc->top, ch, vh);  // cH*vH < 2^22: exact
+}
+
+// The same product with v split on the fly.
+inline void MulAccumulate(Limbs52* acc, __m512i cl, __m512i ch, __m512i v) {
+  const __m512i vl = _mm512_and_si512(v, _mm512_set1_epi64(kMask52));
+  const __m512i vh = _mm512_srli_epi64(v, 52);  // < 2^11 for v < 2^63
+  MulAccumulateSplit(acc, cl, ch, vl, vh);
 }
 
 // Limbs -> lazy value < 2^63, congruent mod p (see the file comment).
@@ -104,6 +113,16 @@ inline __m512i Reduce52(const Limbs52& acc) {
   return _mm512_add_epi64(s, _mm512_srli_epi64(acc.top, 18));
 }
 
+// Mask of the lanes whose canonical residue is odd, for lane values
+// v < 2^63 (Reduce52's output), without materializing the residue: one
+// fold leaves f <= p + 3 < 2p, whose canonical form is f - p when f >= p
+// and f otherwise -- and subtracting the odd p flips the low bit.
+inline __mmask8 CanonicalOddMask(__m512i v) {
+  const __m512i f = Fold61(v);
+  return _kxor_mask8(_mm512_test_epi64_mask(f, _mm512_set1_epi64(1)),
+                     _mm512_cmpge_epu64_mask(f, P()));
+}
+
 // Split of a broadcast coefficient, hoisted out of the item loops.
 struct CoeffSplit {
   __m512i lo, hi;
@@ -112,6 +131,13 @@ struct CoeffSplit {
 inline CoeffSplit SplitCoeff(uint64_t c) {
   return CoeffSplit{_mm512_set1_epi64(static_cast<long long>(c) & kMask52),
                     _mm512_set1_epi64(static_cast<long long>(c >> 52))};
+}
+
+// Per-lane split of eight coefficients (< 2^61), one per row -- for c0
+// the same (lo, hi) pair InitLimbs places in LO and HI.
+inline CoeffSplit SplitLanes(__m512i c) {
+  return CoeffSplit{_mm512_and_si512(c, _mm512_set1_epi64(kMask52)),
+                    _mm512_srli_epi64(c, 52)};
 }
 
 // Canonical c0 + c1 x + c2 x^2 + c3 x^3 mod p for one row's pre-split
@@ -211,42 +237,6 @@ void Avx512FieldPowers(const uint64_t* keys, size_t n, uint64_t* xm,
   ScalarFieldPowers(keys + i, n - i, xm + i, x2 + i, x3 + i);
 }
 
-void Avx512Eval4Row(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
-                    const uint64_t* xm, const uint64_t* x2,
-                    const uint64_t* x3, size_t n, uint64_t* out) {
-  const CoeffSplit C1 = SplitCoeff(c1);
-  const CoeffSplit C2 = SplitCoeff(c2);
-  const CoeffSplit C3 = SplitCoeff(c3);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    Store(out + i, Eval4Lanes(c0, C1, C2, C3, Load(xm + i), Load(x2 + i),
-                              Load(x3 + i)));
-  }
-  ScalarEval4Row(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, n - i, out + i);
-}
-
-void Avx512Eval2Row(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
-                    uint64_t* out) {
-  const CoeffSplit A1 = SplitCoeff(a1);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    Store(out + i, Eval2Lanes(a0, A1, Load(xm + i)));
-  }
-  ScalarEval2Row(a0, a1, xm + i, n - i, out + i);
-}
-
-void Avx512FastRange(const uint64_t* h, size_t n, uint64_t range,
-                     uint32_t* out) {
-  const __m512i R = _mm512_set1_epi64(static_cast<long long>(range));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm512_cvtepi64_epi32(FastRangeLanes(Load(h + i), R)));
-  }
-  ScalarFastRange(h + i, n - i, range, out + i);
-}
-
 void Avx512Eval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
                        const uint64_t* xm, const uint64_t* x2,
                        const uint64_t* x3, const int64_t* delta,
@@ -284,33 +274,65 @@ void Avx512Eval2Bucket(uint64_t a0, uint64_t a1, const uint64_t* xm,
   ScalarEval2Bucket(a0, a1, xm + i, range, n - i, idx + i);
 }
 
-int64_t Avx512Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2,
-                             uint64_t c3, const uint64_t* xm,
-                             const uint64_t* x2, const uint64_t* x3,
-                             const int64_t* delta, size_t n) {
-  const CoeffSplit C1 = SplitCoeff(c1);
-  const CoeffSplit C2 = SplitCoeff(c2);
-  const CoeffSplit C3 = SplitCoeff(c3);
-  const __m512i one = _mm512_set1_epi64(1);
-  __m512i acc = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i h = Eval4Lanes(c0, C1, C2, C3, Load(xm + i), Load(x2 + i),
-                                 Load(x3 + i));
-    const __m512i d = _mm512_loadu_si512(delta + i);
-    const __mmask8 plus = _mm512_test_epi64_mask(h, one);
-    const __m512i neg = _mm512_sub_epi64(_mm512_setzero_si512(), d);
-    acc = _mm512_add_epi64(acc, _mm512_mask_blend_epi64(plus, neg, d));
+// The AMS bank update with rows in the lanes: each group of 8 rows loads
+// its coefficients straight from the degree-major bank and splits them
+// once, then every item's powers are broadcast as the MulAccumulate `v`
+// operand -- the operand roles of Eval4Lanes, with the per-lane and
+// broadcast sides swapped, so the exactness argument is unchanged.  Items
+// are staged in chunks with each power pre-split into its radix-52 limbs
+// (the `v` split, hoisted out of the row-group loop) and the delta
+// negated, so per item and group the loop is broadcasts, 21 vpmadd52, one
+// Reduce52 and the canonical sign bit.  The signed deltas accumulate in a
+// register per group; the last partial group runs masked.  Per-group cost
+// is independent of n, so the small per-level batches of the g-sum stack
+// pay no setup, horizontal reduce, or tail per row.
+void Avx512Eval4SignAccumulate(const uint64_t* coeffs, size_t rows,
+                               const uint64_t* xm, const uint64_t* x2,
+                               const uint64_t* x3, const int64_t* delta,
+                               size_t n, int64_t* sums) {
+  constexpr size_t kChunk = 64;
+  alignas(64) uint64_t vl[3][kChunk];
+  alignas(64) uint64_t vh[3][kChunk];
+  alignas(64) int64_t neg[kChunk];
+  const uint64_t* powers[3] = {xm, x2, x3};
+  for (size_t base = 0; base < n; base += kChunk) {
+    const size_t m = std::min(kChunk, n - base);
+    for (int d = 0; d < 3; ++d) {
+      for (size_t i = 0; i < m; ++i) {
+        vl[d][i] = powers[d][base + i] & kMask52;
+        vh[d][i] = powers[d][base + i] >> 52;
+      }
+    }
+    for (size_t i = 0; i < m; ++i) {
+      neg[i] = static_cast<int64_t>(-static_cast<uint64_t>(delta[base + i]));
+    }
+    for (size_t e = 0; e < rows; e += 8) {
+      const __mmask8 live =
+          rows - e >= 8 ? __mmask8{0xFF}
+                        : static_cast<__mmask8>((1u << (rows - e)) - 1);
+      CoeffSplit c[4];
+      for (int d = 0; d < 4; ++d) {
+        c[d] = SplitLanes(
+            _mm512_maskz_loadu_epi64(live, coeffs + d * rows + e));
+      }
+      const Limbs52 init{c[0].lo, c[0].hi, _mm512_setzero_si512()};
+      __m512i acc = _mm512_maskz_loadu_epi64(live, sums + e);
+      for (size_t i = 0; i < m; ++i) {
+        Limbs52 limbs = init;
+        for (int d = 0; d < 3; ++d) {
+          MulAccumulateSplit(
+              &limbs, c[d + 1].lo, c[d + 1].hi,
+              _mm512_set1_epi64(static_cast<long long>(vl[d][i])),
+              _mm512_set1_epi64(static_cast<long long>(vh[d][i])));
+        }
+        const __mmask8 plus = CanonicalOddMask(Reduce52(limbs));
+        acc = _mm512_add_epi64(
+            acc, _mm512_mask_blend_epi64(plus, _mm512_set1_epi64(neg[i]),
+                                         _mm512_set1_epi64(delta[base + i])));
+      }
+      _mm512_mask_storeu_epi64(sums + e, live, acc);
+    }
   }
-  // Lane sums + tail; int64 addition is associative under wraparound, so
-  // the total matches the sequential accumulation bit-for-bit.
-  alignas(64) int64_t lanes[8];
-  _mm512_store_si512(lanes, acc);
-  int64_t z = 0;
-  for (const int64_t lane : lanes) z = WrapAdd(z, lane);
-  z = WrapAdd(z, ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i,
-                                      delta + i, n - i));
-  return z;
 }
 
 // --- Scatter/gather kernels (requires avx512cd for vpconflictq/vplzcntq) --
@@ -418,10 +440,15 @@ void Avx512Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
 
 const SimdOps* GetAvx512Ops() {
   static const SimdOps ops = {
-      &Avx512PrepareBatch,   &Avx512PrepareBatch2, &Avx512FieldPowers,
-      &Avx512Eval4Row,       &Avx512Eval2Row,      &Avx512FastRange,
-      &Avx512Eval4Bucket,    &Avx512Eval2Bucket,   &Avx512Eval4SignedSum,
-      &Avx512Eval2ParityOr,  &Avx512ScatterAdd,    &Avx512ScatterAddSigned,
+      &Avx512PrepareBatch,
+      &Avx512PrepareBatch2,
+      &Avx512FieldPowers,
+      &Avx512Eval4Bucket,
+      &Avx512Eval2Bucket,
+      &Avx512Eval4SignAccumulate,
+      &Avx512Eval2ParityOr,
+      &Avx512ScatterAdd,
+      &Avx512ScatterAddSigned,
       &Avx512GatherSigned,
   };
   return &ops;

@@ -11,10 +11,15 @@ namespace simd {
 
 const SimdOps* GetScalarOps() {
   static const SimdOps ops = {
-      &ScalarPrepareBatch,   &ScalarPrepareBatch2, &ScalarFieldPowers,
-      &ScalarEval4Row,       &ScalarEval2Row,      &ScalarFastRange,
-      &ScalarEval4Bucket,    &ScalarEval2Bucket,   &ScalarEval4SignedSum,
-      &ScalarEval2ParityOr,  &ScalarScatterAdd,    &ScalarScatterAddSigned,
+      &ScalarPrepareBatch,
+      &ScalarPrepareBatch2,
+      &ScalarFieldPowers,
+      &ScalarEval4Bucket,
+      &ScalarEval2Bucket,
+      &ScalarEval4SignAccumulate,
+      &ScalarEval2ParityOr,
+      &ScalarScatterAdd,
+      &ScalarScatterAddSigned,
       &ScalarGatherSigned,
   };
   return &ops;

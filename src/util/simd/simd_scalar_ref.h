@@ -1,10 +1,10 @@
 // Scalar reference implementations of the SimdOps kernels, built directly
 // on the util/hash.h primitives.  These serve two roles:
 //   * the kScalar dispatch tier (simd_kernels_scalar.cc), and
-//   * the tail loops of the vector tiers -- when n is not a multiple of
-//     the lane width, the remainder runs through exactly these functions,
-//     so a vector tier's output is the scalar tier's output element for
-//     element by construction at the boundaries.
+//   * the tail loops of the item-lane vector kernels -- when n is not a
+//     multiple of the lane width, the remainder runs through exactly these
+//     functions, so a vector tier's output is the scalar tier's output
+//     element for element by construction at the boundaries.
 //
 // Every function here produces canonical field elements (or values derived
 // from them), which is what makes tier agreement a theorem rather than a
@@ -47,26 +47,6 @@ inline void ScalarFieldPowers(const uint64_t* keys, size_t n, uint64_t* xm,
   }
 }
 
-inline void ScalarEval4Row(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
-                           const uint64_t* xm, const uint64_t* x2,
-                           const uint64_t* x3, size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]);
-  }
-}
-
-inline void ScalarEval2Row(uint64_t a0, uint64_t a1, const uint64_t* xm,
-                           size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = Eval2Wise(a0, a1, xm[i]);
-}
-
-inline void ScalarFastRange(const uint64_t* h, size_t n, uint64_t range,
-                            uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint32_t>(FastRange61(h[i], range));
-  }
-}
-
 inline void ScalarEval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2,
                               uint64_t c3, const uint64_t* xm,
                               const uint64_t* x2, const uint64_t* x3,
@@ -87,16 +67,23 @@ inline void ScalarEval2Bucket(uint64_t a0, uint64_t a1, const uint64_t* xm,
   }
 }
 
-inline int64_t ScalarEval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2,
-                                    uint64_t c3, const uint64_t* xm,
-                                    const uint64_t* x2, const uint64_t* x3,
-                                    const int64_t* delta, size_t n) {
-  int64_t z = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t s = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]);
-    z = WrapAdd(z, SignByLowBit(delta[i], s));
+inline void ScalarEval4SignAccumulate(const uint64_t* coeffs, size_t rows,
+                                      const uint64_t* xm, const uint64_t* x2,
+                                      const uint64_t* x3,
+                                      const int64_t* delta, size_t n,
+                                      int64_t* sums) {
+  for (size_t e = 0; e < rows; ++e) {
+    const uint64_t c0 = coeffs[e];
+    const uint64_t c1 = coeffs[rows + e];
+    const uint64_t c2 = coeffs[2 * rows + e];
+    const uint64_t c3 = coeffs[3 * rows + e];
+    int64_t z = sums[e];
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t s = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]);
+      z = WrapAdd(z, SignByLowBit(delta[i], s));
+    }
+    sums[e] = z;
   }
-  return z;
 }
 
 inline void ScalarEval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,

@@ -1,11 +1,13 @@
 // Const queries on a quiesced sketch must be safe from many reader
-// threads at once: AmsSketch::EstimateF2 and CountMinSketch::EstimateMedian
-// keep their median scratch on the caller's stack, not in a shared mutable
-// member.  Every thread must see exactly the single-threaded answer, and
-// under TSan (CI runs this suite there) any shared write is a reported race.
+// threads at once: AmsSketch::EstimateF2, CountMinSketch::EstimateMedian
+// and CountSketch's Estimate / EstimateAllInto / EstimateF2 keep their
+// median scratch on the caller's stack, not in a shared mutable member.
+// Every thread must see exactly the single-threaded answer, and under TSan
+// (CI runs this suite there) any shared write is a reported race.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -13,6 +15,7 @@
 
 #include "sketch/ams.h"
 #include "sketch/count_min.h"
+#include "sketch/count_sketch.h"
 #include "stream/generators.h"
 
 namespace gstream {
@@ -71,6 +74,41 @@ TEST(ConstQueryConcurrencyTest, CountMinEstimateMedianFromFourThreads) {
   EXPECT_EQ(CountConcurrentMismatches([&](size_t t, size_t q) {
               const ItemId item = (q * kThreads + t) % expected.size();
               return cm.EstimateMedian(item) == expected[item];
+            }),
+            0u);
+}
+
+// One test drives all three CountSketch queries, interleaved per thread,
+// so a shared scratch buffer would be written by every query kind at once.
+TEST(ConstQueryConcurrencyTest, CountSketchQueriesFromFourThreads) {
+  Rng rng(13);
+  const Workload w = MakeQueryWorkload(rng);
+  CountSketch cs(CountSketchOptions{7, 128}, rng);
+  ProcessStream(cs, w.stream);
+  std::vector<ItemId> items(w.stream.domain());
+  for (ItemId item = 0; item < items.size(); ++item) items[item] = item;
+  std::vector<int64_t> expected(items.size());
+  for (ItemId item = 0; item < items.size(); ++item) {
+    expected[item] = cs.Estimate(item);
+  }
+  const double expected_f2 = cs.EstimateF2();
+  constexpr size_t kBatch = 37;
+  EXPECT_EQ(CountConcurrentMismatches([&](size_t t, size_t q) {
+              const size_t item = (q * kThreads + t) % items.size();
+              switch (q % 3) {
+                case 0:
+                  return cs.Estimate(item) == expected[item];
+                case 1: {
+                  const size_t first = std::min(item, items.size() - kBatch);
+                  int64_t batch[kBatch];
+                  cs.EstimateAllInto(items.data() + first, kBatch, batch);
+                  return std::equal(batch, batch + kBatch,
+                                    expected.begin() +
+                                        static_cast<ptrdiff_t>(first));
+                }
+                default:
+                  return cs.EstimateF2() == expected_f2;
+              }
             }),
             0u);
 }

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <vector>
 
 #include "stream/exact.h"
 #include "stream/generators.h"
@@ -105,6 +108,65 @@ TEST(CountSketchTest, SpaceBytesScalesWithGeometry) {
   CountSketch big(CountSketchOptions{8, 512}, rng);
   EXPECT_GT(big.SpaceBytes(), small.SpaceBytes() * 16);
   EXPECT_GE(small.SpaceBytes(), 2 * 32 * sizeof(int64_t));
+}
+
+// The batched decode against the per-item query and an independent median,
+// for rows 1-9 (even counts take the upper middle), with one or two
+// buckets so rows tie, and counters driven to INT64_MAX and INT64_MIN.
+// Row j of a sketch is reproduced by a one-row sketch drawn from the same
+// Rng position (KWiseHashBank draws row by row), so each item's sorted row
+// values -- and their element at rows / 2 -- come without the sketch's own
+// median.  600 probes span two decode blocks and repeat items.
+TEST(CountSketchTest, EstimateAllIntoMatchesEstimateAndRowMedian) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  // Item 5 wraps from INT64_MAX to INT64_MIN.
+  std::vector<Update> ups = {{1, kMax}, {2, kMin}, {3, 1},
+                             {4, -1},   {5, kMax}, {5, 1}};
+  Rng data(77);
+  for (int i = 0; i < 300; ++i) {
+    ups.push_back(Update{data.UniformUint64(40),
+                         static_cast<int64_t>(data.UniformInt(-3, 3))});
+  }
+  std::vector<ItemId> probes;
+  for (ItemId i = 0; i < 600; ++i) probes.push_back(i % 45);
+
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (const size_t buckets : {size_t{1}, size_t{2}, size_t{37}}) {
+      Rng rng(1000 + rows);
+      CountSketch cs(CountSketchOptions{rows, buckets}, rng);
+      Rng row_rng(1000 + rows);
+      std::vector<CountSketch> row_sketches;
+      for (size_t j = 0; j < rows; ++j) {
+        row_sketches.emplace_back(CountSketchOptions{1, buckets}, row_rng);
+      }
+      for (const Update& u : ups) {
+        cs.Update(u.item, u.delta);
+        for (CountSketch& row : row_sketches) row.Update(u.item, u.delta);
+      }
+      std::vector<int64_t> batched(probes.size());
+      cs.EstimateAllInto(probes.data(), probes.size(), batched.data());
+      for (size_t i = 0; i < probes.size(); ++i) {
+        std::vector<int64_t> row_values;
+        for (const CountSketch& row : row_sketches) {
+          row_values.push_back(row.Estimate(probes[i]));
+        }
+        std::sort(row_values.begin(), row_values.end());
+        const int64_t want = row_values[rows / 2];
+        EXPECT_EQ(cs.Estimate(probes[i]), want)
+            << rows << " rows, " << buckets << " buckets, item " << probes[i];
+        EXPECT_EQ(batched[i], want)
+            << rows << " rows, " << buckets << " buckets, item " << probes[i];
+      }
+      std::vector<double> row_f2;
+      for (const CountSketch& row : row_sketches) {
+        row_f2.push_back(row.EstimateF2());
+      }
+      std::sort(row_f2.begin(), row_f2.end());
+      EXPECT_EQ(cs.EstimateF2(), row_f2[rows / 2])
+          << rows << " rows, " << buckets << " buckets";
+    }
+  }
 }
 
 TEST(CountSketchTopKTest, FindsPlantedHeavyHitter) {

@@ -1,6 +1,6 @@
 // Tier-equivalence pins for the runtime-dispatched SIMD hash kernels
 // (util/simd/): every ISA tier must agree with the scalar reference tier
-// bit-for-bit -- raw kernel outputs, sketch counters, estimates,
+// bit-for-bit -- raw kernel outputs, sketch counters, AMS sums, estimates,
 // fingerprints, and the merge pins -- because Mersenne-61 arithmetic is
 // exact in every tier and all outputs are canonicalized.  Tiers the
 // build or host cannot run are skipped, so the suite passes on scalar-only
@@ -67,7 +67,7 @@ TEST_P(SimdDispatchTest, ForceAndClearRoundTrip) {
 }
 
 // Raw kernel outputs against the scalar reference functions, on sizes that
-// exercise the lane tails (n % 8 != 0) and both fastrange forms
+// exercise the lane tails (n % 8 != 0) and both FastRange61 forms
 // (power-of-two and general ranges).
 TEST_P(SimdDispatchTest, KernelOpsMatchScalarReference) {
   ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
@@ -84,67 +84,156 @@ TEST_P(SimdDispatchTest, KernelOpsMatchScalarReference) {
   const uint64_t c2 = rng.UniformUint64(kMersenne61);
   const uint64_t c3 = rng.UniformUint64(kMersenne61);
 
-  // Reference powers and hashes from the scalar functions.
-  std::vector<uint64_t> rxm(n), rx2(n), rx3(n), rh(n);
+  // Reference powers from the scalar functions.
+  std::vector<uint64_t> rxm(n), rx2(n), rx3(n);
   std::vector<int64_t> rdelta(n);
   simd::ScalarPrepareBatch(ups.data(), n, rxm.data(), rx2.data(), rx3.data(),
                            rdelta.data());
-  simd::ScalarEval4Row(c0, c1, c2, c3, rxm.data(), rx2.data(), rx3.data(), n,
-                       rh.data());
 
-  // Tier powers: lazy representatives may differ, canonical hashes must
-  // not.
-  std::vector<uint64_t> xm(n), x2(n), x3(n), h(n);
+  // Tier powers from all three producers.  Lazy representatives may
+  // differ between tiers, canonical hashes must not, so the powers are
+  // checked through the fused kernels they feed.
+  std::vector<uint64_t> xm(n), x2(n), x3(n);
   std::vector<int64_t> delta(n);
   ops.prepare_batch(ups.data(), n, xm.data(), x2.data(), x3.data(),
                     delta.data());
   EXPECT_EQ(delta, rdelta);
-  ops.eval4_row(c0, c1, c2, c3, xm.data(), x2.data(), x3.data(), n, h.data());
-  EXPECT_EQ(h, rh);
-
-  // prepare_batch2 / field_powers feed the same canonical chain.
   std::vector<uint64_t> keys(n);
   for (size_t i = 0; i < n; ++i) keys[i] = ups[i].item;
-  ops.prepare_batch2(ups.data(), n, xm.data(), delta.data());
-  std::vector<uint64_t> e2(n), re2(n);
-  ops.eval2_row(c0, c1, xm.data(), n, e2.data());
-  simd::ScalarEval2Row(c0, c1, rxm.data(), n, re2.data());
-  EXPECT_EQ(e2, re2);
-  ops.field_powers(keys.data(), n, xm.data(), x2.data(), x3.data());
-  ops.eval4_row(c0, c1, c2, c3, xm.data(), x2.data(), x3.data(), n, h.data());
-  EXPECT_EQ(h, rh);
+  std::vector<uint64_t> fxm(n), fx2(n), fx3(n);
+  ops.field_powers(keys.data(), n, fxm.data(), fx2.data(), fx3.data());
+  std::vector<uint64_t> pxm(n);
+  std::vector<int64_t> pdelta(n);
+  ops.prepare_batch2(ups.data(), n, pxm.data(), pdelta.data());
+  EXPECT_EQ(pdelta, rdelta);
 
   for (const uint64_t range : {uint64_t{1024}, uint64_t{997}, uint64_t{1}}) {
     std::vector<uint32_t> idx(n), ridx(n);
-    ops.fastrange(rh.data(), n, range, idx.data());
-    simd::ScalarFastRange(rh.data(), n, range, ridx.data());
-    EXPECT_EQ(idx, ridx) << "range " << range;
-
     std::vector<int64_t> sd(n), rsd(n);
-    ops.eval4_bucket(c0, c1, c2, c3, xm.data(), x2.data(), x3.data(),
-                     delta.data(), range, n, idx.data(), sd.data());
     simd::ScalarEval4Bucket(c0, c1, c2, c3, rxm.data(), rx2.data(),
                             rx3.data(), delta.data(), range, n, ridx.data(),
                             rsd.data());
-    EXPECT_EQ(idx, ridx) << "range " << range;
-    EXPECT_EQ(sd, rsd) << "range " << range;
+    ops.eval4_bucket(c0, c1, c2, c3, xm.data(), x2.data(), x3.data(),
+                     delta.data(), range, n, idx.data(), sd.data());
+    EXPECT_EQ(idx, ridx) << "prepare_batch powers, range " << range;
+    EXPECT_EQ(sd, rsd) << "prepare_batch powers, range " << range;
+    ops.eval4_bucket(c0, c1, c2, c3, fxm.data(), fx2.data(), fx3.data(),
+                     delta.data(), range, n, idx.data(), sd.data());
+    EXPECT_EQ(idx, ridx) << "field_powers powers, range " << range;
+    EXPECT_EQ(sd, rsd) << "field_powers powers, range " << range;
 
-    ops.eval2_bucket(c0, c1, xm.data(), range, n, idx.data());
     simd::ScalarEval2Bucket(c0, c1, rxm.data(), range, n, ridx.data());
+    ops.eval2_bucket(c0, c1, pxm.data(), range, n, idx.data());
     EXPECT_EQ(idx, ridx) << "range " << range;
   }
-
-  EXPECT_EQ(ops.eval4_signed_sum(c0, c1, c2, c3, xm.data(), x2.data(),
-                                 x3.data(), delta.data(), n),
-            simd::ScalarEval4SignedSum(c0, c1, c2, c3, rxm.data(), rx2.data(),
-                                       rx3.data(), delta.data(), n));
 
   std::vector<uint64_t> masks(n, 0), rmasks(n, 0);
   for (unsigned bit : {0u, 7u, 63u}) {
-    ops.eval2_parity_or(c0, c1, xm.data(), n, bit, masks.data());
+    ops.eval2_parity_or(c0, c1, pxm.data(), n, bit, masks.data());
     simd::ScalarEval2ParityOr(c0, c1, rxm.data(), n, bit, rmasks.data());
   }
   EXPECT_EQ(masks, rmasks);
+}
+
+// c0 + c1 xm + c2 x2 + c3 x3 mod p computed independently of every kernel
+// (each product reduced exactly in 128 bits), for checking the reference
+// itself at the extremes of the lazy input bounds.
+uint64_t ExactEval4(const uint64_t c[4], uint64_t xm, uint64_t x2,
+                    uint64_t x3) {
+  const auto mod = [](__uint128_t v) {
+    return static_cast<uint64_t>(v % kMersenne61);
+  };
+  const uint64_t sum = mod(c[0]) + mod(static_cast<__uint128_t>(c[1]) * xm) +
+                       mod(static_cast<__uint128_t>(c[2]) * x2) +
+                       mod(static_cast<__uint128_t>(c[3]) * x3);
+  return sum % kMersenne61;
+}
+
+// The row-lane AMS kernel against the scalar reference: row counts on both
+// sides of every lane multiple (masked last groups), item counts from an
+// empty block to a full one, deltas and starting sums that wrap past
+// INT64_MAX, and -- separately -- inputs at the documented lazy bounds
+// (xm = p + 7, x2/x3 just below 2^63, coefficients p - 1), where both the
+// tier and the reference must also agree with an exact big-integer
+// evaluation.  Guard words past `rows` pin that the masked stores write
+// nothing outside the bank.
+TEST_P(SimdDispatchTest, SignAccumulateMatchesScalarReference) {
+  ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
+  const simd::SimdOps& ops = simd::Ops();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr size_t kGuard = 8;
+  constexpr int64_t kGuardValue = 0x6a09e667f3bcc908;
+  Rng rng(0xa115);
+  const size_t kMaxItems = simd::kSimdBlock;
+  std::vector<Update> ups(kMaxItems);
+  for (size_t i = 0; i < kMaxItems; ++i) {
+    ups[i].item = rng.UniformUint64(~uint64_t{0});
+    // Two thirds of the deltas sit near INT64_MAX / INT64_MIN, so every
+    // estimator's running sum wraps many times.
+    ups[i].delta = (i % 3 == 0)   ? kMax - static_cast<int64_t>(i)
+                   : (i % 3 == 1) ? kMin + static_cast<int64_t>(i)
+                                  : static_cast<int64_t>(rng.UniformInt(-9, 9));
+  }
+  std::vector<uint64_t> xm(kMaxItems), x2(kMaxItems), x3(kMaxItems);
+  std::vector<uint64_t> rxm(kMaxItems), rx2(kMaxItems), rx3(kMaxItems);
+  std::vector<int64_t> delta(kMaxItems), rdelta(kMaxItems);
+  ops.prepare_batch(ups.data(), kMaxItems, xm.data(), x2.data(), x3.data(),
+                    delta.data());
+  simd::ScalarPrepareBatch(ups.data(), kMaxItems, rxm.data(), rx2.data(),
+                           rx3.data(), rdelta.data());
+
+  for (const size_t rows : {1, 7, 8, 9, 80, 81, 130}) {
+    std::vector<uint64_t> coeffs(4 * rows);
+    for (uint64_t& c : coeffs) c = rng.UniformUint64(kMersenne61);
+    for (const size_t n : {0, 1, 7, 8, 9, 512}) {
+      std::vector<int64_t> start(rows + kGuard, kGuardValue);
+      for (size_t e = 0; e < rows; ++e) {
+        start[e] = kMax - static_cast<int64_t>(rng.UniformInt(0, 3));
+      }
+      std::vector<int64_t> got = start, want = start;
+      ops.eval4_sign_accumulate(coeffs.data(), rows, xm.data(), x2.data(),
+                                x3.data(), delta.data(), n, got.data());
+      simd::ScalarEval4SignAccumulate(coeffs.data(), rows, rxm.data(),
+                                      rx2.data(), rx3.data(), rdelta.data(),
+                                      n, want.data());
+      EXPECT_EQ(got, want) << "rows " << rows << ", items " << n;
+    }
+  }
+
+  // Lazy-bound inputs: not real powers of one key, but exactly what the
+  // kernel contract admits.
+  const uint64_t kTop = (uint64_t{1} << 63) - 1;
+  const std::vector<uint64_t> bxm = {kMersenne61 + 7, kMersenne61 + 7,
+                                     kMersenne61, 0, kMersenne61 + 3};
+  const std::vector<uint64_t> bx2 = {kTop, kTop - 1, kTop, kTop - 5, 0};
+  const std::vector<uint64_t> bx3 = {kTop, kTop, kTop - 2, 0, kTop};
+  const std::vector<int64_t> bdelta = {kMax, kMax, kMin, -1, 1};
+  const size_t bn = bxm.size();
+  for (const size_t rows : {1, 7, 9, 81}) {
+    std::vector<uint64_t> coeffs(4 * rows, kMersenne61 - 1);
+    for (size_t e = 1; e < rows; e += 2) coeffs[e] = 0;  // mixed c0
+    std::vector<int64_t> got(rows + kGuard, kGuardValue), want = got;
+    std::fill(got.begin(), got.begin() + static_cast<ptrdiff_t>(rows), 0);
+    std::fill(want.begin(), want.begin() + static_cast<ptrdiff_t>(rows), 0);
+    ops.eval4_sign_accumulate(coeffs.data(), rows, bxm.data(), bx2.data(),
+                              bx3.data(), bdelta.data(), bn, got.data());
+    simd::ScalarEval4SignAccumulate(coeffs.data(), rows, bxm.data(),
+                                    bx2.data(), bx3.data(), bdelta.data(), bn,
+                                    want.data());
+    EXPECT_EQ(got, want) << "lazy bounds, rows " << rows;
+    for (size_t e = 0; e < rows; ++e) {
+      const uint64_t c[4] = {coeffs[e], coeffs[rows + e],
+                             coeffs[2 * rows + e], coeffs[3 * rows + e]};
+      int64_t exact = 0;
+      for (size_t i = 0; i < bn; ++i) {
+        exact = WrapAdd(exact, SignByLowBit(bdelta[i],
+                                            ExactEval4(c, bxm[i], bx2[i],
+                                                       bx3[i])));
+      }
+      EXPECT_EQ(want[e], exact) << "reference, lazy bounds, row " << e;
+    }
+  }
 }
 
 // Whole-sketch states: counters, estimates, and fingerprints after a
@@ -228,6 +317,31 @@ TEST_P(SimdDispatchTest, BatchSingleEquivalenceUnderForcedTier) {
     chunk = chunk * 2 + 1;  // 3, 7, 15, ... never lane-aligned
   }
   EXPECT_EQ(single.counters(), batched.counters());
+}
+
+// The AMS batch/single pin for bank sizes that are not a lane multiple
+// (the vector tiers' masked last row group), under uneven chunkings that
+// include one-item batches.
+TEST_P(SimdDispatchTest, AmsBatchSingleEquivalenceOffLaneMultiple) {
+  ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
+  const Stream stream = MakeTurnstileStream(0xa3a3);
+  const std::vector<Update>& ups = stream.updates();
+  for (const AmsOptions geometry :
+       {AmsOptions{3, 3}, AmsOptions{1, 1}, AmsOptions{5, 3}}) {
+    Rng r1(9), r2(9);
+    AmsSketch single(geometry, r1);
+    AmsSketch batched(geometry, r2);
+    for (const Update& u : ups) single.Update(u.item, u.delta);
+    size_t consumed = 0, chunk = 1;
+    while (consumed < ups.size()) {
+      const size_t m = std::min(chunk, ups.size() - consumed);
+      batched.UpdateBatch(ups.data() + consumed, m);
+      consumed += m;
+      chunk = chunk * 2 + 1;  // 1, 3, 7, ... never lane-aligned
+    }
+    EXPECT_EQ(single.sums(), batched.sums())
+        << geometry.group_size << " x " << geometry.groups;
+  }
 }
 
 // The merge pin under a forced tier: shard + merge == monolithic, both

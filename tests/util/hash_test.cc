@@ -46,6 +46,46 @@ TEST(MulMod61Test, MatchesNaive128BitProduct) {
   }
 }
 
+// Eval4Wise must be exact over its whole documented input range -- lazy
+// x <= p + 7, x2 and x3 < 2^63, coefficients < p -- not just over the
+// powers FieldPowers3Lazy happens to produce.  At the top of that range
+// the 128-bit sum exceeds 2^125, so the reduction must keep the bits of
+// the high word above 2^61.
+TEST(Eval4WiseTest, ExactAtDocumentedLazyBounds) {
+  const auto exact = [](uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
+                        uint64_t x, uint64_t x2, uint64_t x3) {
+    const __uint128_t sum = static_cast<__uint128_t>(c1) * x +
+                            static_cast<__uint128_t>(c2) * x2 +
+                            static_cast<__uint128_t>(c3) * x3 + c0;
+    return static_cast<uint64_t>(sum % kMersenne61);
+  };
+  const uint64_t top = (uint64_t{1} << 63) - 1;
+  const uint64_t c_max = kMersenne61 - 1;
+  Rng rng(41);
+  for (const uint64_t x : {kMersenne61 + 7, kMersenne61, uint64_t{0}}) {
+    for (const uint64_t x2 : {top, top - 1, uint64_t{1} << 62}) {
+      for (const uint64_t x3 : {top, top - 6, uint64_t{0}}) {
+        for (const uint64_t c0 : {c_max, uint64_t{0}}) {
+          EXPECT_EQ(Eval4Wise(c0, c_max, c_max, c_max, x, x2, x3),
+                    exact(c0, c_max, c_max, c_max, x, x2, x3))
+              << x << " " << x2 << " " << x3 << " " << c0;
+        }
+      }
+    }
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t c0 = rng.UniformUint64(kMersenne61);
+    const uint64_t c1 = rng.UniformUint64(kMersenne61);
+    const uint64_t c2 = rng.UniformUint64(kMersenne61);
+    const uint64_t c3 = rng.UniformUint64(kMersenne61);
+    const uint64_t x = rng.UniformUint64(kMersenne61 + 8);
+    const uint64_t x2 = rng.UniformUint64(top);
+    const uint64_t x3 = rng.UniformUint64(top);
+    EXPECT_EQ(Eval4Wise(c0, c1, c2, c3, x, x2, x3),
+              exact(c0, c1, c2, c3, x, x2, x3));
+  }
+}
+
 TEST(KWiseHashTest, DeterministicGivenSeed) {
   Rng rng1(7), rng2(7);
   KWiseHash h1(4, rng1), h2(4, rng2);
