@@ -286,11 +286,10 @@ IngestEngine::IngestEngine(const IngestEngineOptions& options,
   GSTREAM_CHECK(options.policy != PartitionPolicy::kBroadcast ||
                 options.overload == OverloadPolicy::kBlock);
   shards_.reserve(options.shards);
-  agg_stats_.shard_updates.assign(options.shards, 0);
-  agg_stats_.shard_updates_applied.assign(options.shards, 0);
-  agg_stats_.shard_updates_shed.assign(options.shards, 0);
-  agg_stats_.shard_ring_highwater.assign(options.shards, 0);
-  obs_synced_ = agg_stats_;
+  obs_synced_.shard_updates.assign(options.shards, 0);
+  obs_synced_.shard_updates_applied.assign(options.shards, 0);
+  obs_synced_.shard_updates_shed.assign(options.shards, 0);
+  obs_synced_.shard_ring_highwater.assign(options.shards, 0);
   // Instrument handles are fetched once here (registration is the only
   // locked path); the routing hot path only ever touches per-handle
   // stats, which are mirrored into the registry at quiesce points
@@ -557,26 +556,26 @@ size_t IngestEngine::ClaimedProducers() const {
                   producers_.size());
 }
 
-void IngestEngine::AggregateStats() const {
-  agg_stats_ = IngestStats{};
-  agg_stats_.shard_updates.assign(shards_.size(), 0);
-  agg_stats_.shard_updates_applied.assign(shards_.size(), 0);
-  agg_stats_.shard_updates_shed.assign(shards_.size(), 0);
-  agg_stats_.shard_ring_highwater.assign(shards_.size(), 0);
+IngestStats IngestEngine::stats() const {
+  IngestStats agg;
+  agg.shard_updates.assign(shards_.size(), 0);
+  agg.shard_updates_applied.assign(shards_.size(), 0);
+  agg.shard_updates_shed.assign(shards_.size(), 0);
+  agg.shard_ring_highwater.assign(shards_.size(), 0);
   const size_t claimed = ClaimedProducers();
   for (size_t p = 0; p < claimed; ++p) {
     const IngestStats& s = producers_[p]->stats_;
-    agg_stats_.updates_submitted += s.updates_submitted;
-    agg_stats_.chunks_committed += s.chunks_committed;
-    agg_stats_.producer_stalls += s.producer_stalls;
-    agg_stats_.producer_stall_ns += s.producer_stall_ns;
-    agg_stats_.updates_shed += s.updates_shed;
-    agg_stats_.deadline_timeouts += s.deadline_timeouts;
+    agg.updates_submitted += s.updates_submitted;
+    agg.chunks_committed += s.chunks_committed;
+    agg.producer_stalls += s.producer_stalls;
+    agg.producer_stall_ns += s.producer_stall_ns;
+    agg.updates_shed += s.updates_shed;
+    agg.deadline_timeouts += s.deadline_timeouts;
     for (size_t i = 0; i < shards_.size(); ++i) {
-      agg_stats_.shard_updates[i] += s.shard_updates[i];
-      agg_stats_.shard_updates_shed[i] += s.shard_updates_shed[i];
-      agg_stats_.shard_ring_highwater[i] = std::max(
-          agg_stats_.shard_ring_highwater[i], s.shard_ring_highwater[i]);
+      agg.shard_updates[i] += s.shard_updates[i];
+      agg.shard_updates_shed[i] += s.shard_updates_shed[i];
+      agg.shard_ring_highwater[i] = std::max(
+          agg.shard_ring_highwater[i], s.shard_ring_highwater[i]);
     }
   }
   // Worker-side halves: applied counts, plus sheds the workers performed
@@ -586,41 +585,37 @@ void IngestEngine::AggregateStats() const {
         shards_[i]->applied_updates.load(std::memory_order_relaxed);
     const uint64_t shed =
         shards_[i]->shed_updates.load(std::memory_order_relaxed);
-    agg_stats_.updates_applied += applied;
-    agg_stats_.shard_updates_applied[i] = applied;
-    agg_stats_.updates_shed += shed;
-    agg_stats_.shard_updates_shed[i] += shed;
+    agg.updates_applied += applied;
+    agg.shard_updates_applied[i] = applied;
+    agg.updates_shed += shed;
+    agg.shard_updates_shed[i] += shed;
   }
-}
-
-const IngestStats& IngestEngine::stats() const {
-  AggregateStats();
-  return agg_stats_;
+  return agg;
 }
 
 void IngestEngine::SyncObsRegistry() {
   if constexpr (!obs::kEnabled) return;
-  AggregateStats();
-  obs_.updates_submitted->Add(agg_stats_.updates_submitted -
+  const IngestStats agg = stats();
+  obs_.updates_submitted->Add(agg.updates_submitted -
                               obs_synced_.updates_submitted);
-  obs_.chunks_committed->Add(agg_stats_.chunks_committed -
+  obs_.chunks_committed->Add(agg.chunks_committed -
                              obs_synced_.chunks_committed);
-  obs_.producer_stalls->Add(agg_stats_.producer_stalls -
+  obs_.producer_stalls->Add(agg.producer_stalls -
                             obs_synced_.producer_stalls);
-  obs_.updates_shed->Add(agg_stats_.updates_shed - obs_synced_.updates_shed);
-  obs_.updates_applied->Add(agg_stats_.updates_applied -
+  obs_.updates_shed->Add(agg.updates_shed - obs_synced_.updates_shed);
+  obs_.updates_applied->Add(agg.updates_applied -
                             obs_synced_.updates_applied);
-  obs_.deadline_timeouts->Add(agg_stats_.deadline_timeouts -
+  obs_.deadline_timeouts->Add(agg.deadline_timeouts -
                               obs_synced_.deadline_timeouts);
   for (size_t s = 0; s < shards_.size(); ++s) {
-    obs_.shard_updates[s]->Add(agg_stats_.shard_updates[s] -
+    obs_.shard_updates[s]->Add(agg.shard_updates[s] -
                                obs_synced_.shard_updates[s]);
-    obs_.shard_updates_shed[s]->Add(agg_stats_.shard_updates_shed[s] -
+    obs_.shard_updates_shed[s]->Add(agg.shard_updates_shed[s] -
                                     obs_synced_.shard_updates_shed[s]);
     obs_.shard_ring_highwater[s]->UpdateMax(
-        static_cast<int64_t>(agg_stats_.shard_ring_highwater[s]));
+        static_cast<int64_t>(agg.shard_ring_highwater[s]));
   }
-  obs_synced_ = agg_stats_;
+  obs_synced_ = agg;
 }
 
 EngineError IngestEngine::Flush() {
@@ -728,7 +723,7 @@ void IngestEngine::RestoreProducerState(const IngestProducerState& state) {
   // snapshots carry live values; discard them so both restore paths
   // agree bit for bit.  (Under the required kBlock policy the shed and
   // timeout counters are zero anyway; the assignments keep the vectors
-  // sized for AggregateStats.)
+  // sized for stats().)
   internal_->stats_.producer_stall_ns = 0;
   internal_->stats_.updates_shed = 0;
   internal_->stats_.deadline_timeouts = 0;
@@ -739,8 +734,7 @@ void IngestEngine::RestoreProducerState(const IngestProducerState& state) {
   // Never re-mirror adopted history into this process's registry (it
   // describes work this process did not perform).
   internal_->obs_synced_ = internal_->stats_;
-  AggregateStats();
-  obs_synced_ = agg_stats_;
+  obs_synced_ = stats();
 }
 
 EngineError IngestEngine::Close() {

@@ -429,9 +429,9 @@ class IngestEngine {
   // Exact at quiescent points (no producer mid-Submit) and final once
   // Close() has returned; with live external producers a call is racy and
   // must be avoided (single-producer engines may read between their own
-  // Submit calls, as before).  The reference stays valid until the next
-  // stats() call.
-  const IngestStats& stats() const;
+  // Submit calls, as before).  Returned by value, so concurrent const
+  // callers at a quiescent point each aggregate into their own copy.
+  IngestStats stats() const;
 
   // The shard an item routes to under kHashItem with `n_shards` shards.
   // Exposed so tests and callers can reason about sub-domain ownership.
@@ -507,9 +507,6 @@ class IngestEngine {
 
   // Number of handles claimed so far, clamped to the preallocated pool.
   size_t ClaimedProducers() const;
-  // Recomputes agg_stats_ from the per-producer stats.  Safe only when
-  // every claimed producer is quiescent or closed (see stats()).
-  void AggregateStats() const;
   // Mirrors aggregated-stats deltas since the last sync into the
   // process-wide registry ("engine/..." instruments).  Called at quiesce
   // points (Flush/Close) so the hot routing path never touches shared
@@ -537,9 +534,6 @@ class IngestEngine {
   // "engine/ring_full" fault site: a firing evaluation makes the producer
   // treat its ring as full for param() ns -- the ring-full-storm lever.
   fault::FaultPoint* fault_ring_full_ = nullptr;
-
-  // Aggregation scratch (stats() is const but materializes here).
-  mutable IngestStats agg_stats_;
 
   // Registry handles (process-lifetime) + the stats values already pushed,
   // so SyncObsRegistry adds exact deltas even across RestoreProducerState.

@@ -26,6 +26,7 @@ std::string EncodeCheckpoint(const CheckpointImage& image) {
   GSTREAM_CHECK_EQ(image.producer.staged.size(), shards);
   GSTREAM_CHECK_EQ(image.producer.stats.shard_updates.size(), shards);
   persist::ByteWriter w;
+  w.OpenRegion();
   w.PutBytes(std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)));
   w.PutU32(kCheckpointFormatVersion);
   w.PutU64(shards);
@@ -43,8 +44,8 @@ std::string EncodeCheckpoint(const CheckpointImage& image) {
     }
   }
   for (const std::string& blob : image.shard_blobs) w.PutBlob(blob);
-  w.PutU64(persist::Checksum64(w.bytes()));
-  return w.Take();
+  w.CloseRegion();
+  return w.Seal();
 }
 
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image) {

@@ -26,13 +26,50 @@
 namespace gstream {
 namespace persist {
 
-uint64_t Checksum64(std::string_view bytes) {
-  // FNV-1a 64.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+namespace {
+
+constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+// FNV-1a over [p, p + n) for K chains at once.  Each chain is a serial
+// xor-multiply dependency; K independent chains fill the multiplier's
+// pipeline, so K <= 4 costs what one chain costs.
+template <size_t K>
+void Fnv1aChains(const unsigned char* p, size_t n, uint64_t* chains) {
+  uint64_t h[K];
+  for (size_t k = 0; k < K; ++k) h[k] = chains[k];
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t b = p[i];
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) h[k] = (h[k] ^ b) * kFnvPrime;
   }
+  for (size_t k = 0; k < K; ++k) chains[k] = h[k];
+}
+
+// Advances `count` chains over the same bytes, four at a time: the
+// deepest sketch blob (RecursiveGSum -> OnePassHH -> CountSketchTopK ->
+// CountSketch) nests four regions, so its counters cost one chain's time.
+void HashChains(const unsigned char* p, size_t n, uint64_t* chains,
+                size_t count) {
+  for (; count >= 4; count -= 4, chains += 4) Fnv1aChains<4>(p, n, chains);
+  switch (count) {
+    case 3: Fnv1aChains<3>(p, n, chains); break;
+    case 2: Fnv1aChains<2>(p, n, chains); break;
+    case 1: Fnv1aChains<1>(p, n, chains); break;
+    default: break;
+  }
+}
+
+void StoreU64(char* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(v >> (8 * i));
+}
+
+}  // namespace
+
+uint64_t Checksum64(std::string_view bytes) {
+  uint64_t h = kFnvOffsetBasis;
+  Fnv1aChains<1>(reinterpret_cast<const unsigned char*>(bytes.data()),
+                 bytes.size(), &h);
   return h;
 }
 
@@ -44,11 +81,20 @@ void ByteWriter::PutU32(uint32_t v) {
 
 void ByteWriter::PutU64(uint64_t v) {
   char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  StoreU64(b, v);
   buf_.append(b, 8);
 }
 
 void ByteWriter::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
+
+void ByteWriter::PutI64s(const int64_t* v, size_t n) {
+  const size_t at = buf_.size();
+  buf_.resize(at + 8 * n);
+  char* out = buf_.data() + at;
+  for (size_t i = 0; i < n; ++i) {
+    StoreU64(out + 8 * i, static_cast<uint64_t>(v[i]));
+  }
+}
 
 void ByteWriter::PutBytes(std::string_view bytes) {
   buf_.append(bytes.data(), bytes.size());
@@ -57,6 +103,50 @@ void ByteWriter::PutBytes(std::string_view bytes) {
 void ByteWriter::PutBlob(std::string_view blob) {
   PutU64(blob.size());
   PutBytes(blob);
+}
+
+size_t ByteWriter::BeginChild() {
+  const size_t length_at = buf_.size();
+  PutU64(0);
+  return length_at;
+}
+
+void ByteWriter::EndChild(size_t length_at) {
+  StoreU64(buf_.data() + length_at, buf_.size() - length_at - 8);
+}
+
+void ByteWriter::OpenRegion() {
+  marks_.push_back({buf_.size(), true});
+  ++depth_;
+}
+
+void ByteWriter::CloseRegion() {
+  GSTREAM_CHECK_GT(depth_, 0u);
+  --depth_;
+  marks_.push_back({buf_.size(), false});
+  PutU64(0);
+}
+
+std::string ByteWriter::Seal() {
+  GSTREAM_CHECK_EQ(depth_, 0u);
+  // chains[d] is the running checksum of the open region at depth d.
+  std::vector<uint64_t> chains;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(buf_.data());
+  size_t pos = 0;
+  for (const Mark& mark : marks_) {
+    HashChains(bytes + pos, mark.pos - pos, chains.data(), chains.size());
+    pos = mark.pos;
+    if (mark.open) {
+      chains.push_back(kFnvOffsetBasis);
+    } else {
+      // The innermost region closes; its trailer is stored before the
+      // enclosing chains reach it on the next stretch.
+      StoreU64(buf_.data() + pos, chains.back());
+      chains.pop_back();
+    }
+  }
+  marks_.clear();
+  return std::move(buf_);
 }
 
 bool ByteReader::GetU32(uint32_t* v) {
@@ -132,9 +222,10 @@ LoadStatus Truncated(const std::string& what) {
                           "blob ends inside " + what);
 }
 
-// Starts a blob: header with a placeholder-free layout (the checksum is
-// appended by FinishBlob over everything written so far).
+// Starts a blob in place: opens its checksummed region and writes the
+// header.  FinishBlob reserves the trailer slot ByteWriter::Seal fills.
 void BeginBlob(ByteWriter* w, SketchKind kind, uint64_t fingerprint) {
+  w->OpenRegion();
   w->PutBytes(std::string_view(kBlobMagic, sizeof(kBlobMagic)));
   w->PutU32(kSketchFormatVersion);
   w->PutU32(static_cast<uint32_t>(kind));
@@ -142,10 +233,7 @@ void BeginBlob(ByteWriter* w, SketchKind kind, uint64_t fingerprint) {
   w->PutU64(fingerprint);
 }
 
-std::string FinishBlob(ByteWriter* w) {
-  w->PutU64(Checksum64(w->bytes()));
-  return w->Take();
-}
+void FinishBlob(ByteWriter* w) { w->CloseRegion(); }
 
 // Validates the envelope (magic, length, checksum, version, kind) and
 // positions `reader` at the payload; the payload region excludes the
@@ -231,19 +319,30 @@ LoadStatus ReadCounters(ByteReader* reader, const char* what, Vec* out) {
 
 }  // namespace
 
-// Friend of every sketch: restores private counter/candidate state after
-// the envelope, geometry, and fingerprint checks pass.  Every Read method
-// parses into temporaries and commits only on full success, so a failed
-// load leaves the destination bit-identical to its prior state.
+// Friend of every sketch.  Every Write method appends one blob to the
+// caller's writer in place; nested blobs go through WriteChild.  Read
+// methods restore private counter/candidate state after the envelope,
+// geometry, and fingerprint checks pass; each parses into temporaries and
+// commits only on full success, so a failed load leaves the destination
+// bit-identical to its prior state.
 struct SketchSerde {
+  // A length-prefixed child blob written straight into the parent.
+  template <typename SketchT>
+  static void WriteChild(ByteWriter* w,
+                         void (*write)(ByteWriter*, const SketchT&),
+                         const SketchT& child) {
+    const size_t length_at = w->BeginChild();
+    write(w, child);
+    w->EndChild(length_at);
+  }
+
   // --- CountSketch ---------------------------------------------------------
-  static std::string WriteCountSketch(const CountSketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountSketch, s.Fingerprint());
-    w.PutU64(s.rows());
-    w.PutU64(s.buckets());
-    for (const int64_t c : s.counters_) w.PutI64(c);
-    return FinishBlob(&w);
+  static void WriteCountSketch(ByteWriter* w, const CountSketch& s) {
+    BeginBlob(w, SketchKind::kCountSketch, s.Fingerprint());
+    w->PutU64(s.rows());
+    w->PutU64(s.buckets());
+    w->PutI64s(s.counters_.data(), s.counters_.size());
+    FinishBlob(w);
   }
 
   static LoadStatus ReadCountSketch(std::string_view blob, CountSketch* dst) {
@@ -273,13 +372,12 @@ struct SketchSerde {
   }
 
   // --- CountMinSketch ------------------------------------------------------
-  static std::string WriteCountMin(const CountMinSketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountMin, s.Fingerprint());
-    w.PutU64(s.options_.rows);
-    w.PutU64(s.options_.buckets);
-    for (const int64_t c : s.counters_) w.PutI64(c);
-    return FinishBlob(&w);
+  static void WriteCountMin(ByteWriter* w, const CountMinSketch& s) {
+    BeginBlob(w, SketchKind::kCountMin, s.Fingerprint());
+    w->PutU64(s.options_.rows);
+    w->PutU64(s.options_.buckets);
+    w->PutI64s(s.counters_.data(), s.counters_.size());
+    FinishBlob(w);
   }
 
   static LoadStatus ReadCountMin(std::string_view blob, CountMinSketch* dst) {
@@ -311,13 +409,12 @@ struct SketchSerde {
   }
 
   // --- AmsSketch -----------------------------------------------------------
-  static std::string WriteAms(const AmsSketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kAms, s.Fingerprint());
-    w.PutU64(s.options_.group_size);
-    w.PutU64(s.options_.groups);
-    for (const int64_t z : s.sums_) w.PutI64(z);
-    return FinishBlob(&w);
+  static void WriteAms(ByteWriter* w, const AmsSketch& s) {
+    BeginBlob(w, SketchKind::kAms, s.Fingerprint());
+    w->PutU64(s.options_.group_size);
+    w->PutU64(s.options_.groups);
+    w->PutI64s(s.sums_.data(), s.sums_.size());
+    FinishBlob(w);
   }
 
   static LoadStatus ReadAms(std::string_view blob, AmsSketch* dst) {
@@ -346,14 +443,13 @@ struct SketchSerde {
   }
 
   // --- GnpHeavyHitter ------------------------------------------------------
-  static std::string WriteGnp(const GnpHeavyHitter& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kGnp, s.Fingerprint());
-    w.PutU64(s.options_.substreams);
-    w.PutU64(s.options_.trials);
-    w.PutU64(static_cast<uint64_t>(s.options_.id_bits));
-    for (const int64_t c : s.counters_) w.PutI64(c);
-    return FinishBlob(&w);
+  static void WriteGnp(ByteWriter* w, const GnpHeavyHitter& s) {
+    BeginBlob(w, SketchKind::kGnp, s.Fingerprint());
+    w->PutU64(s.options_.substreams);
+    w->PutU64(s.options_.trials);
+    w->PutU64(static_cast<uint64_t>(s.options_.id_bits));
+    w->PutI64s(s.counters_.data(), s.counters_.size());
+    FinishBlob(w);
   }
 
   static LoadStatus ReadGnp(std::string_view blob, GnpHeavyHitter* dst) {
@@ -388,20 +484,20 @@ struct SketchSerde {
   }
 
   // --- ExactFrequencySketch ------------------------------------------------
-  static std::string WriteExactFrequency(const ExactFrequencySketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kExactFrequency, /*fingerprint=*/0);
+  static void WriteExactFrequency(ByteWriter* w,
+                                  const ExactFrequencySketch& s) {
+    BeginBlob(w, SketchKind::kExactFrequency, /*fingerprint=*/0);
     // Sorted by item so equal states serialize to identical bytes (the
     // in-memory map order is not deterministic).
     std::vector<std::pair<ItemId, int64_t>> entries(s.freq_.begin(),
                                                     s.freq_.end());
     std::sort(entries.begin(), entries.end());
-    w.PutU64(entries.size());
+    w->PutU64(entries.size());
     for (const auto& [item, value] : entries) {
-      w.PutU64(item);
-      w.PutI64(value);
+      w->PutU64(item);
+      w->PutI64(value);
     }
-    return FinishBlob(&w);
+    FinishBlob(w);
   }
 
   static LoadStatus ReadExactFrequency(std::string_view blob,
@@ -434,20 +530,19 @@ struct SketchSerde {
   }
 
   // --- CountSketchTopK -----------------------------------------------------
-  static std::string WriteTopK(const CountSketchTopK& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountSketchTopK, s.Fingerprint());
-    w.PutU64(s.k());
-    w.PutBlob(WriteCountSketch(s.sketch_));
+  static void WriteTopK(ByteWriter* w, const CountSketchTopK& s) {
+    BeginBlob(w, SketchKind::kCountSketchTopK, s.Fingerprint());
+    w->PutU64(s.k());
+    WriteChild(w, WriteCountSketch, s.sketch_);
     std::vector<std::pair<ItemId, int64_t>> candidates(s.candidates_.begin(),
                                                        s.candidates_.end());
     std::sort(candidates.begin(), candidates.end());
-    w.PutU64(candidates.size());
+    w->PutU64(candidates.size());
     for (const auto& [item, estimate] : candidates) {
-      w.PutU64(item);
-      w.PutI64(estimate);
+      w->PutU64(item);
+      w->PutI64(estimate);
     }
-    return FinishBlob(&w);
+    FinishBlob(w);
   }
 
   static LoadStatus ReadTopK(std::string_view blob, CountSketchTopK* dst) {
@@ -485,11 +580,10 @@ struct SketchSerde {
   }
 
   // --- ExactHeavyHitterSketch ----------------------------------------------
-  static std::string WriteExactHH(const ExactHeavyHitterSketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kExactHeavyHitter, /*fingerprint=*/0);
-    w.PutBlob(WriteExactFrequency(s.freq_));
-    return FinishBlob(&w);
+  static void WriteExactHH(ByteWriter* w, const ExactHeavyHitterSketch& s) {
+    BeginBlob(w, SketchKind::kExactHeavyHitter, /*fingerprint=*/0);
+    WriteChild(w, WriteExactFrequency, s.freq_);
+    FinishBlob(w);
   }
 
   static LoadStatus ReadExactHH(std::string_view blob,
@@ -511,12 +605,11 @@ struct SketchSerde {
   }
 
   // --- OnePassHeavyHitter --------------------------------------------------
-  static std::string WriteOnePass(const OnePassHeavyHitter& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kOnePassHH, s.Fingerprint());
-    w.PutBlob(WriteTopK(s.tracker_));
-    w.PutBlob(WriteAms(s.ams_));
-    return FinishBlob(&w);
+  static void WriteOnePass(ByteWriter* w, const OnePassHeavyHitter& s) {
+    BeginBlob(w, SketchKind::kOnePassHH, s.Fingerprint());
+    WriteChild(w, WriteTopK, s.tracker_);
+    WriteChild(w, WriteAms, s.ams_);
+    FinishBlob(w);
   }
 
   static LoadStatus ReadOnePass(std::string_view blob,
@@ -542,15 +635,14 @@ struct SketchSerde {
   }
 
   // --- TwoPassHeavyHitter --------------------------------------------------
-  static std::string WriteTwoPass(const TwoPassHeavyHitter& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kTwoPassHH, s.Fingerprint());
-    w.PutU32(static_cast<uint32_t>(s.current_pass_));
-    w.PutBlob(WriteTopK(s.tracker_));
-    w.PutU64(s.candidate_ids_.size());
-    for (const ItemId id : s.candidate_ids_) w.PutU64(id);
-    for (const int64_t c : s.exact_counts_) w.PutI64(c);
-    return FinishBlob(&w);
+  static void WriteTwoPass(ByteWriter* w, const TwoPassHeavyHitter& s) {
+    BeginBlob(w, SketchKind::kTwoPassHH, s.Fingerprint());
+    w->PutU32(static_cast<uint32_t>(s.current_pass_));
+    WriteChild(w, WriteTopK, s.tracker_);
+    w->PutU64(s.candidate_ids_.size());
+    for (const ItemId id : s.candidate_ids_) w->PutU64(id);
+    w->PutI64s(s.exact_counts_.data(), s.exact_counts_.size());
+    FinishBlob(w);
   }
 
   static LoadStatus ReadTwoPass(std::string_view blob,
@@ -593,16 +685,15 @@ struct SketchSerde {
   }
 
   // --- RecursiveGSum -------------------------------------------------------
-  static std::string WriteRecursive(const RecursiveGSum& stack) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kRecursiveGSum, stack.Fingerprint());
-    w.PutU64(stack.subsampler_.Fingerprint());
-    w.PutU64(stack.sketches_.size());
+  static void WriteRecursive(ByteWriter* w, const RecursiveGSum& stack) {
+    BeginBlob(w, SketchKind::kRecursiveGSum, stack.Fingerprint());
+    w->PutU64(stack.subsampler_.Fingerprint());
+    w->PutU64(stack.sketches_.size());
     for (const auto& sketch : stack.sketches_) {
-      w.PutU32(static_cast<uint32_t>(KindOfHeavyHitter(*sketch)));
-      w.PutBlob(SerializeHeavyHitter(*sketch));
+      w->PutU32(static_cast<uint32_t>(KindOfHeavyHitter(*sketch)));
+      WriteChild(w, WriteHeavyHitter, *sketch);
     }
-    return FinishBlob(&w);
+    FinishBlob(w);
   }
 
   static LoadStatus ReadRecursive(std::string_view blob, RecursiveGSum* dst) {
@@ -671,7 +762,39 @@ struct SketchSerde {
                  "serialized\n");
     std::abort();
   }
+
+  // The one polymorphic writer: SerializeHeavyHitter and the levels of
+  // WriteRecursive both dispatch here.
+  static void WriteHeavyHitter(ByteWriter* w, const GHeavyHitterSketch& s) {
+    switch (KindOfHeavyHitter(s)) {
+      case SketchKind::kOnePassHH:
+        WriteOnePass(w, static_cast<const OnePassHeavyHitter&>(s));
+        return;
+      case SketchKind::kTwoPassHH:
+        WriteTwoPass(w, static_cast<const TwoPassHeavyHitter&>(s));
+        return;
+      case SketchKind::kGnp:
+        WriteGnp(w, static_cast<const GnpHeavyHitter&>(s));
+        return;
+      default:
+        WriteExactHH(w, static_cast<const ExactHeavyHitterSketch&>(s));
+        return;
+    }
+  }
 };
+
+namespace {
+
+// Writes one sketch into a fresh writer and seals it.
+template <typename SketchT>
+std::string Sealed(void (*write)(ByteWriter*, const SketchT&),
+                   const SketchT& sketch) {
+  ByteWriter w;
+  write(&w, sketch);
+  return w.Seal();
+}
+
+}  // namespace
 
 }  // namespace persist
 
@@ -680,34 +803,34 @@ struct SketchSerde {
 // ---------------------------------------------------------------------------
 
 std::string SerializeSketch(const CountSketch& sketch) {
-  return persist::SketchSerde::WriteCountSketch(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteCountSketch, sketch);
 }
 std::string SerializeSketch(const CountMinSketch& sketch) {
-  return persist::SketchSerde::WriteCountMin(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteCountMin, sketch);
 }
 std::string SerializeSketch(const AmsSketch& sketch) {
-  return persist::SketchSerde::WriteAms(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteAms, sketch);
 }
 std::string SerializeSketch(const GnpHeavyHitter& sketch) {
-  return persist::SketchSerde::WriteGnp(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteGnp, sketch);
 }
 std::string SerializeSketch(const ExactFrequencySketch& sketch) {
-  return persist::SketchSerde::WriteExactFrequency(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteExactFrequency, sketch);
 }
 std::string SerializeSketch(const CountSketchTopK& sketch) {
-  return persist::SketchSerde::WriteTopK(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteTopK, sketch);
 }
 std::string SerializeSketch(const ExactHeavyHitterSketch& sketch) {
-  return persist::SketchSerde::WriteExactHH(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteExactHH, sketch);
 }
 std::string SerializeSketch(const OnePassHeavyHitter& sketch) {
-  return persist::SketchSerde::WriteOnePass(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteOnePass, sketch);
 }
 std::string SerializeSketch(const TwoPassHeavyHitter& sketch) {
-  return persist::SketchSerde::WriteTwoPass(sketch);
+  return persist::Sealed(persist::SketchSerde::WriteTwoPass, sketch);
 }
 std::string SerializeSketch(const RecursiveGSum& stack) {
-  return persist::SketchSerde::WriteRecursive(stack);
+  return persist::Sealed(persist::SketchSerde::WriteRecursive, stack);
 }
 
 LoadStatus DeserializeSketch(std::string_view blob, CountSketch* dst) {
@@ -744,22 +867,7 @@ LoadStatus DeserializeSketch(std::string_view blob, RecursiveGSum* dst) {
 }
 
 std::string SerializeHeavyHitter(const GHeavyHitterSketch& sketch) {
-  if (const auto* s = dynamic_cast<const OnePassHeavyHitter*>(&sketch)) {
-    return SerializeSketch(*s);
-  }
-  if (const auto* s = dynamic_cast<const TwoPassHeavyHitter*>(&sketch)) {
-    return SerializeSketch(*s);
-  }
-  if (const auto* s = dynamic_cast<const GnpHeavyHitter*>(&sketch)) {
-    return SerializeSketch(*s);
-  }
-  if (const auto* s = dynamic_cast<const ExactHeavyHitterSketch*>(&sketch)) {
-    return SerializeSketch(*s);
-  }
-  std::fprintf(stderr,
-               "sketch_io: unknown GHeavyHitterSketch subclass cannot be "
-               "serialized\n");
-  std::abort();
+  return persist::Sealed(persist::SketchSerde::WriteHeavyHitter, sketch);
 }
 
 LoadStatus DeserializeHeavyHitter(std::string_view blob,
@@ -838,6 +946,12 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
   const std::string_view to_write =
       fault == WriteFault::kCrashMidTmp ? bytes.substr(0, bytes.size() / 2)
                                         : bytes;
+  // A real I/O failure removes the tmp file; injected faults leave it,
+  // because they model a crash, which cleans up nothing.
+  const auto fail = [&tmp] {
+    ::unlink(tmp.c_str());
+    return false;
+  };
   size_t written = 0;
   while (written < to_write.size()) {
     const ssize_t n =
@@ -845,7 +959,7 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
-      return false;
+      return fail();
     }
     written += static_cast<size_t>(n);
   }
@@ -857,9 +971,9 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
   }
   const bool synced = FsyncFd(fd);
   ::close(fd);
-  if (!synced) return false;
+  if (!synced) return fail();
   if (fault == WriteFault::kCrashBeforeRename) return false;
-  if (::rename(tmp.c_str(), path.c_str()) != 0) return false;
+  if (::rename(tmp.c_str(), path.c_str()) != 0) return fail();
   // A crash here (after the rename, before the directory fsync) leaves the
   // NEW complete file at `path`, but the rename may not survive a power
   // cut -- the one phase where "return false" coexists with a loadable new

@@ -38,6 +38,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/status.h"
 
@@ -157,7 +158,9 @@ const char* WriteFaultName(WriteFault fault);
 // renames over `path`, and fsyncs the parent directory, so a crash at any
 // instant leaves either the old complete file or the new complete file --
 // never a torn mix.  Returns false on I/O error (and on any injected
-// fault, since the sequence did not complete).
+// fault, since the sequence did not complete).  A failed write, fsync or
+// rename removes `path`.tmp; an injected fault leaves it, as a crash
+// would.
 bool WriteFileAtomic(const std::string& path, std::string_view bytes,
                      WriteFault fault = WriteFault::kNone);
 
@@ -187,22 +190,54 @@ namespace persist {
 // adversaries, which is the contract crash consistency needs.
 uint64_t Checksum64(std::string_view bytes);
 
-// Little-endian bounds-checked primitives shared by the sketch and
-// checkpoint formats.
+// Little-endian writer shared by the sketch and checkpoint formats.  A
+// whole image -- a RecursiveGSum blob with every nested level, sketch and
+// counter blob, or a GCKP file -- is written into this one buffer:
+//
+//   OpenRegion()   marks where a checksummed region (one blob) starts;
+//   CloseRegion()  reserves the region's 8-byte trailer slot after it;
+//   BeginChild()   writes a placeholder u64 length for a nested blob and
+//                  returns its offset; EndChild(offset) back-patches the
+//                  length once the child's bytes (trailer included) are
+//                  written, so a child is never built separately and
+//                  copied into its parent;
+//   Seal()         fills every trailer and hands over the bytes.
+//
+// Regions nest and must be balanced.  Seal() is one sweep over the buffer:
+// between consecutive marks it runs the FNV-1a chains of every open region
+// side by side (independent multiply chains overlap, so up to four cost
+// the time of one), and when a region closes it stores the chain's value
+// in the trailer slot before the enclosing chains go on to hash those
+// bytes.  Each trailer therefore equals Checksum64 of its region's bytes,
+// the value a reader verifies.
 class ByteWriter {
  public:
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v);
+  void PutI64s(const int64_t* v, size_t n);
   void PutBytes(std::string_view bytes);
-  // Length-prefixed child blob.
+  // Length-prefixed child blob that already exists as bytes.
   void PutBlob(std::string_view blob);
 
-  const std::string& bytes() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
+  size_t BeginChild();
+  void EndChild(size_t length_at);
+
+  void OpenRegion();
+  void CloseRegion();
+
+  size_t size() const { return buf_.size(); }
+  std::string Seal();
 
  private:
+  struct Mark {
+    size_t pos;  // region start (open) or trailer slot (close)
+    bool open;
+  };
+
   std::string buf_;
+  std::vector<Mark> marks_;  // in call order, so positions never decrease
+  size_t depth_ = 0;  // regions open
 };
 
 class ByteReader {

@@ -11,6 +11,8 @@
 #include "persist/sketch_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -498,6 +500,25 @@ TEST(SketchIoTest, AtomicWriteSurvivesEveryInjectedFault) {
   EXPECT_EQ(SerializeSketch(restored), v2_blob);
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+}
+
+TEST(SketchIoTest, FailedRenameRemovesTmpFile) {
+  // `path` is an existing directory, so the final rename fails for real.
+  const std::string path = testing::TempDir() + "/sketch_io_dir_target";
+  const std::string tmp = path + ".tmp";
+  ::rmdir(path.c_str());
+  ASSERT_EQ(::mkdir(path.c_str(), 0755), 0) << std::strerror(errno);
+  const std::string blob = SerializeSketch(MakeCountSketch());
+  EXPECT_FALSE(WriteFileAtomic(path, blob));
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "tmp file left behind";
+  struct stat st;
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISDIR(st.st_mode));
+  // An injected crash at the same phase still leaves the tmp file.
+  EXPECT_FALSE(WriteFileAtomic(path, blob, WriteFault::kCrashBeforeRename));
+  EXPECT_EQ(::access(tmp.c_str(), F_OK), 0);
+  std::remove(tmp.c_str());
+  ::rmdir(path.c_str());
 }
 
 TEST(SketchIoTest, WriteFaultNamesAreStable) {

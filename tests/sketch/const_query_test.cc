@@ -1,7 +1,8 @@
 // Const queries on a quiesced sketch must be safe from many reader
 // threads at once: AmsSketch::EstimateF2, CountMinSketch::EstimateMedian
 // and CountSketch's Estimate / EstimateAllInto / EstimateF2 keep their
-// median scratch on the caller's stack, not in a shared mutable member.
+// median scratch on the caller's stack, not in a shared mutable member,
+// and IngestEngine::stats() aggregates into the value it returns.
 // Every thread must see exactly the single-threaded answer, and under TSan
 // (CI runs this suite there) any shared write is a reported race.
 
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/sharded_ingestor.h"
 #include "sketch/ams.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
@@ -111,6 +113,41 @@ TEST(ConstQueryConcurrencyTest, CountSketchQueriesFromFourThreads) {
               }
             }),
             0u);
+}
+
+bool SameStats(const IngestStats& a, const IngestStats& b) {
+  return a.updates_submitted == b.updates_submitted &&
+         a.chunks_committed == b.chunks_committed &&
+         a.producer_stalls == b.producer_stalls &&
+         a.producer_stall_ns == b.producer_stall_ns &&
+         a.updates_shed == b.updates_shed &&
+         a.deadline_timeouts == b.deadline_timeouts &&
+         a.updates_applied == b.updates_applied &&
+         a.shard_updates == b.shard_updates &&
+         a.shard_updates_applied == b.shard_updates_applied &&
+         a.shard_updates_shed == b.shard_updates_shed &&
+         a.shard_ring_highwater == b.shard_ring_highwater;
+}
+
+TEST(ConstQueryConcurrencyTest, EngineStatsFromFourThreads) {
+  Rng rng(14);
+  const Workload w = MakeQueryWorkload(rng);
+  IngestEngineOptions options;
+  options.policy = PartitionPolicy::kHashItem;
+  ShardedIngestor<CountSketch> ingest(options, [](size_t) {
+    Rng sketch_rng(15);
+    return CountSketch(CountSketchOptions{3, 64}, sketch_rng);
+  });
+  ingest.Open(3);
+  for (int i = 0; i < 16; ++i) ingest.SubmitStream(w.stream);
+  ASSERT_TRUE(ingest.Flush().ok());
+  const IngestStats expected = ingest.stats();
+  ASSERT_GT(expected.updates_applied, 0u);
+  EXPECT_EQ(CountConcurrentMismatches([&](size_t, size_t) {
+              return SameStats(ingest.stats(), expected);
+            }),
+            0u);
+  ingest.Close();
 }
 
 }  // namespace
