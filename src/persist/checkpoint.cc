@@ -141,10 +141,43 @@ bool SaveCheckpoint(const CheckpointImage& image, const std::string& path,
 }
 
 LoadStatus LoadCheckpoint(const std::string& path, CheckpointImage* image) {
+  obs::TraceSpan span("persist/load_checkpoint", "persist");
+  obs::ScopedTimer timer(
+      obs::Registry::Get().GetHistogram("persist/ckpt_load_ns"));
   LoadStatus status;
   const std::optional<std::string> bytes = ReadFileBytes(path, &status);
   if (!bytes.has_value()) return status;
   return DecodeCheckpoint(*bytes, image);
+}
+
+LoadStatus CheckProducerState(const IngestProducerState& producer,
+                              size_t shards, size_t chunk_updates) {
+  if (producer.round_robin_next >= shards) {
+    return LoadStatus::Fail(
+        LoadError::kDomainError,
+        "round-robin cursor names shard " +
+            std::to_string(producer.round_robin_next) + " of " +
+            std::to_string(shards));
+  }
+  for (size_t s = 0; s < producer.staged.size(); ++s) {
+    if (producer.staged[s].size() >= chunk_updates) {
+      return LoadStatus::Fail(
+          LoadError::kDomainError,
+          "shard " + std::to_string(s) + ": " +
+              std::to_string(producer.staged[s].size()) +
+              " staged updates, but a staged chunk holds fewer than " +
+              std::to_string(chunk_updates));
+    }
+  }
+  return LoadStatus::Ok();
+}
+
+LoadStatus CountRestore(LoadStatus status) {
+  obs::Registry::Get()
+      .GetCounter(status.ok() ? "persist/ckpt_restores"
+                              : "persist/ckpt_restore_failures")
+      ->Increment();
+  return status;
 }
 
 }  // namespace gstream

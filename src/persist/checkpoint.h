@@ -67,8 +67,12 @@ std::string EncodeCheckpoint(const CheckpointImage& image);
 
 // Total over arbitrary bytes, like DeserializeSketch: magic, truncation,
 // checksum, and version failures come back as a clean LoadStatus and the
-// image is untouched.  Shard blobs are only framed here; their contents
-// self-validate when RestoreIngestor feeds them to DeserializeSketch.
+// image is untouched.  One pass hashes the whole file against its trailer;
+// shard blobs are only framed here.  Their contents self-validate when
+// RestoreIngestor feeds them to DeserializeSketch, which checks all of a
+// blob's nested checksums in one more pass -- so a restore reads each
+// byte twice.  The producer state is checked against the engine by
+// RestoreIngestor, which alone knows the shard count and chunk size.
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image);
 
 // Encode + WriteFileAtomic (fault injectable for the torn-write tests).
@@ -104,31 +108,53 @@ CheckpointImage SnapshotIngestor(ShardedIngestor<SketchT>& ingest,
   return image;
 }
 
+// Checks an image's producer state against an engine of `shards` shards
+// and `chunk_updates`-update chunks: the round-robin cursor must name a
+// shard and every staged partial chunk must be shorter than a chunk.  A
+// checksum only proves the bytes are the ones written, so an image that
+// breaks either bound fails here with kDomainError, naming the shard,
+// instead of crashing the engine that adopts it.
+LoadStatus CheckProducerState(const IngestProducerState& producer,
+                              size_t shards, size_t chunk_updates);
+
+// Counts a restore's outcome (persist/ckpt_restores or
+// persist/ckpt_restore_failures) and passes `status` through.
+LoadStatus CountRestore(LoadStatus status);
+
 // Restores an image into a freshly Open()ed ingestor built from the
-// writer's factory and options.  On any failure (shard-count mismatch, a
-// shard blob rejecting the replica) the report names the shard and the
-// ingestor must be discarded; on success the caller resumes submitting at
+// writer's factory and options.  A shard-count mismatch or a bad producer
+// state fails before the ingestor is touched.  A shard blob that rejects
+// its replica fails with a report naming the shard, and the ingestor must
+// then be discarded.  On success the caller resumes submitting at
 // image.cursor.
 template <typename SketchT>
 LoadStatus RestoreIngestor(const CheckpointImage& image,
                            ShardedIngestor<SketchT>* ingest) {
-  if (image.shard_blobs.size() != ingest->replicas().size()) {
-    return LoadStatus::Fail(
+  obs::TraceSpan span("persist/restore", "persist");
+  obs::ScopedTimer timer(
+      obs::Registry::Get().GetHistogram("persist/ckpt_restore_ns"));
+  const size_t shards = ingest->replicas().size();
+  if (image.shard_blobs.size() != shards) {
+    return CountRestore(LoadStatus::Fail(
         LoadError::kGeometryMismatch,
         "checkpoint has " + std::to_string(image.shard_blobs.size()) +
-            " shards, ingestor opened with " +
-            std::to_string(ingest->replicas().size()));
+            " shards, ingestor opened with " + std::to_string(shards)));
   }
-  for (size_t s = 0; s < image.shard_blobs.size(); ++s) {
+  if (LoadStatus status = CheckProducerState(
+          image.producer, shards, ingest->engine_options().chunk_updates);
+      !status.ok()) {
+    return CountRestore(status);
+  }
+  for (size_t s = 0; s < shards; ++s) {
     LoadStatus status =
         DeserializeSketch(image.shard_blobs[s], &ingest->replicas()[s]);
     if (!status.ok()) {
       status.message = "shard " + std::to_string(s) + ": " + status.message;
-      return status;
+      return CountRestore(status);
     }
   }
   ingest->RestoreProducerState(image.producer);
-  return LoadStatus::Ok();
+  return CountRestore(LoadStatus::Ok());
 }
 
 struct CheckpointOptions {
@@ -147,6 +173,14 @@ struct CheckpointOptions {
 // there (the kill-point hook the crash tests use).  Returns the cursor
 // reached: stream.length() on completion, earlier if stopped by the hook
 // or by a failed save (an injected fault "crashed" the writer).
+//
+// Stop contract: when the hook returns false at cursor c, the call returns
+// c and exactly updates [start, c) have been submitted to `ingest` -- none
+// beyond the checkpoint.  The same ingestor can therefore carry on with
+// RunWithCheckpoints(ingest, stream, c, ...) and end bit-identical to an
+// uninterrupted run (CheckpointTest.StopHookLeavesIngestorAtCursor).  A
+// writer that let the producer run ahead of the durable checkpoint would
+// break this.
 template <typename SketchT>
 uint64_t RunWithCheckpoints(
     ShardedIngestor<SketchT>& ingest, const Stream& stream, uint64_t start,

@@ -64,6 +64,30 @@ void StoreU64(char* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(v >> (8 * i));
 }
 
+// The one sweep behind both sides of the nested checksums: ByteWriter::Seal
+// fills trailers with it, and a load verifies them with it.  `marks` opens
+// and closes regions at non-decreasing positions of `bytes`, properly
+// nested.  Between consecutive marks the chains of every open region
+// advance side by side; at a close mark the innermost region's chain goes
+// to `close(mark, checksum)` before the enclosing chains hash on.
+template <typename Mark, typename Close>
+void SweepRegions(const unsigned char* bytes, const std::vector<Mark>& marks,
+                  Close close) {
+  // chains[d] is the running checksum of the open region at depth d.
+  std::vector<uint64_t> chains;
+  size_t pos = 0;
+  for (const Mark& mark : marks) {
+    HashChains(bytes + pos, mark.pos - pos, chains.data(), chains.size());
+    pos = mark.pos;
+    if (mark.open) {
+      chains.push_back(kFnvOffsetBasis);
+    } else {
+      close(mark, chains.back());
+      chains.pop_back();
+    }
+  }
+}
+
 }  // namespace
 
 uint64_t Checksum64(std::string_view bytes) {
@@ -129,22 +153,11 @@ void ByteWriter::CloseRegion() {
 
 std::string ByteWriter::Seal() {
   GSTREAM_CHECK_EQ(depth_, 0u);
-  // chains[d] is the running checksum of the open region at depth d.
-  std::vector<uint64_t> chains;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(buf_.data());
-  size_t pos = 0;
-  for (const Mark& mark : marks_) {
-    HashChains(bytes + pos, mark.pos - pos, chains.data(), chains.size());
-    pos = mark.pos;
-    if (mark.open) {
-      chains.push_back(kFnvOffsetBasis);
-    } else {
-      // The innermost region closes; its trailer is stored before the
-      // enclosing chains reach it on the next stretch.
-      StoreU64(buf_.data() + pos, chains.back());
-      chains.pop_back();
-    }
-  }
+  // Each trailer is stored before the enclosing chains reach it.
+  SweepRegions(reinterpret_cast<const unsigned char*>(buf_.data()), marks_,
+               [this](const Mark& mark, uint64_t checksum) {
+                 StoreU64(buf_.data() + mark.pos, checksum);
+               });
   marks_.clear();
   return std::move(buf_);
 }
@@ -235,11 +248,103 @@ void BeginBlob(ByteWriter* w, SketchKind kind, uint64_t fingerprint) {
 
 void FinishBlob(ByteWriter* w) { w->CloseRegion(); }
 
-// Validates the envelope (magic, length, checksum, version, kind) and
-// positions `reader` at the payload; the payload region excludes the
-// trailing checksum, so a fully-consumed reader means no trailing bytes.
+// The checksummed regions one load opens, verified together once decoding
+// stops.  A reader decodes a blob's payload before anything has checked
+// its trailer, and every blob nested in it is a view into its body, so the
+// recorded regions nest inside the loaded bytes and one SweepRegions pass
+// checks them all: each byte is hashed once, not once per nesting level.
+//
+// The reported reason is what checking each region as it was opened would
+// report.  Decoding stops at its first error, so every region recorded was
+// opened before that error; the first region, in opening order, whose
+// checksum fails is therefore the first failure of the load, and without
+// one the decode error is.
+class RegionChecks {
+ public:
+  explicit RegionChecks(std::string_view root) : root_(root) {}
+
+  // Records the region of a blob whose header has parsed: its body (the
+  // blob minus the trailer) and the trailer's stored checksum.
+  void Open(std::string_view body, uint64_t stored) {
+    const size_t start = static_cast<size_t>(body.data() - root_.data());
+    regions_.push_back({start, start + body.size(), stored, prefix});
+  }
+
+  // Called by every reader just before it commits into its destination.
+  // Only the reader of the root blob commits into the caller's sketch, so
+  // only it waits for the sweep; the others fill their parent's temporaries.
+  LoadStatus Settle(std::string_view blob) const {
+    return blob.data() == root_.data() ? Verify() : LoadStatus::Ok();
+  }
+
+  // The load's outcome once the root reader has returned `decoded`.
+  LoadStatus Resolve(const LoadStatus& decoded) const {
+    if (decoded.ok()) return decoded;
+    const LoadStatus checked = Verify();
+    return checked.ok() ? decoded : checked;
+  }
+
+  // Prepended to the message of a region opened from now on, as the caller
+  // prepends it to the decode errors of the same blob ("level 3: ").
+  std::string prefix;
+
+ private:
+  struct Region {
+    size_t start;  // body, as offsets into root_
+    size_t end;    // the trailer starts here
+    uint64_t stored;
+    std::string prefix;
+  };
+
+  struct Mark {
+    size_t pos;
+    bool open;
+    size_t region;  // index into regions_
+  };
+
+  // The first region, in opening order, whose checksum fails.
+  LoadStatus Verify() const {
+    // Regions arrive in opening order, which is byte order with each
+    // parent before its children, so a stack of the open ones yields the
+    // sweep's marks.
+    std::vector<Mark> marks;
+    std::vector<size_t> open;
+    const auto close_until = [&](size_t limit) {
+      while (!open.empty() && regions_[open.back()].end <= limit) {
+        marks.push_back({regions_[open.back()].end, false, open.back()});
+        open.pop_back();
+      }
+    };
+    for (size_t i = 0; i < regions_.size(); ++i) {
+      close_until(regions_[i].start);
+      marks.push_back({regions_[i].start, true, i});
+      open.push_back(i);
+    }
+    close_until(root_.size());
+    size_t first_bad = regions_.size();
+    SweepRegions(reinterpret_cast<const unsigned char*>(root_.data()), marks,
+                 [&](const Mark& mark, uint64_t checksum) {
+                   if (checksum != regions_[mark.region].stored) {
+                     first_bad = std::min(first_bad, mark.region);
+                   }
+                 });
+    if (first_bad == regions_.size()) return LoadStatus::Ok();
+    return LoadStatus::Fail(LoadError::kChecksumMismatch,
+                            regions_[first_bad].prefix +
+                                "whole-blob checksum mismatch (corrupt bytes)");
+  }
+
+  std::string_view root_;
+  std::vector<Region> regions_;
+};
+
+// Validates the envelope (magic, length, version, kind), records the
+// blob's region in `checks`, and positions `reader` at the payload; the
+// payload region excludes the trailing checksum, so a fully-consumed reader
+// means no trailing bytes.
 LoadStatus OpenBlob(std::string_view blob, SketchKind want_kind,
-                    ByteReader* reader, uint64_t* fingerprint) {
+                    RegionChecks* checks, ByteReader* reader,
+                    uint64_t* fingerprint) {
   if (blob.size() < sizeof(kBlobMagic) ||
       std::memcmp(blob.data(), kBlobMagic, sizeof(kBlobMagic)) != 0) {
     return LoadStatus::Fail(LoadError::kBadMagic,
@@ -252,10 +357,7 @@ LoadStatus OpenBlob(std::string_view blob, SketchKind want_kind,
   ByteReader tail(blob.substr(blob.size() - kChecksumBytes));
   uint64_t stored_checksum = 0;
   tail.GetU64(&stored_checksum);
-  if (Checksum64(body) != stored_checksum) {
-    return LoadStatus::Fail(LoadError::kChecksumMismatch,
-                            "whole-blob checksum mismatch (corrupt bytes)");
-  }
+  checks->Open(body, stored_checksum);
   *reader = ByteReader(body);
   std::string_view magic;
   reader->GetBytes(sizeof(kBlobMagic), &magic);
@@ -323,7 +425,8 @@ LoadStatus ReadCounters(ByteReader* reader, const char* what, Vec* out) {
 // caller's writer in place; nested blobs go through WriteChild.  Read
 // methods restore private counter/candidate state after the envelope,
 // geometry, and fingerprint checks pass; each parses into temporaries and
-// commits only on full success, so a failed load leaves the destination
+// commits only on full success -- for the root blob, only once `checks`
+// has verified every region -- so a failed load leaves the destination
 // bit-identical to its prior state.
 struct SketchSerde {
   // A length-prefixed child blob written straight into the parent.
@@ -345,10 +448,12 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadCountSketch(std::string_view blob, CountSketch* dst) {
+  static LoadStatus ReadCountSketch(std::string_view blob, CountSketch* dst,
+                                    RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kCountSketch, &r, &fp);
+    if (LoadStatus s =
+            OpenBlob(blob, SketchKind::kCountSketch, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -367,6 +472,7 @@ struct SketchSerde {
       return s;
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->counters_ = std::move(counters);
     return LoadStatus::Ok();
   }
@@ -380,10 +486,11 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadCountMin(std::string_view blob, CountMinSketch* dst) {
+  static LoadStatus ReadCountMin(std::string_view blob, CountMinSketch* dst,
+                                 RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kCountMin, &r, &fp);
+    if (LoadStatus s = OpenBlob(blob, SketchKind::kCountMin, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -404,6 +511,7 @@ struct SketchSerde {
       return s;
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->counters_ = std::move(counters);
     return LoadStatus::Ok();
   }
@@ -417,10 +525,12 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadAms(std::string_view blob, AmsSketch* dst) {
+  static LoadStatus ReadAms(std::string_view blob, AmsSketch* dst,
+                            RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kAms, &r, &fp); !s.ok()) {
+    if (LoadStatus s = OpenBlob(blob, SketchKind::kAms, checks, &r, &fp);
+        !s.ok()) {
       return s;
     }
     uint64_t group_size = 0, groups = 0;
@@ -438,6 +548,7 @@ struct SketchSerde {
     AlignedI64Vector sums(dst->sums_.size());
     if (LoadStatus s = ReadCounters(&r, "ams sums", &sums); !s.ok()) return s;
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->sums_ = std::move(sums);
     return LoadStatus::Ok();
   }
@@ -452,10 +563,12 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadGnp(std::string_view blob, GnpHeavyHitter* dst) {
+  static LoadStatus ReadGnp(std::string_view blob, GnpHeavyHitter* dst,
+                            RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kGnp, &r, &fp); !s.ok()) {
+    if (LoadStatus s = OpenBlob(blob, SketchKind::kGnp, checks, &r, &fp);
+        !s.ok()) {
       return s;
     }
     uint64_t substreams = 0, trials = 0, id_bits = 0;
@@ -479,6 +592,7 @@ struct SketchSerde {
       return s;
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->counters_ = std::move(counters);
     return LoadStatus::Ok();
   }
@@ -501,10 +615,12 @@ struct SketchSerde {
   }
 
   static LoadStatus ReadExactFrequency(std::string_view blob,
-                                       ExactFrequencySketch* dst) {
+                                       ExactFrequencySketch* dst,
+                                       RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kExactFrequency, &r, &fp);
+    if (LoadStatus s =
+            OpenBlob(blob, SketchKind::kExactFrequency, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -525,6 +641,7 @@ struct SketchSerde {
       freq[item] = value;
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->freq_ = std::move(freq);
     return LoadStatus::Ok();
   }
@@ -545,10 +662,12 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadTopK(std::string_view blob, CountSketchTopK* dst) {
+  static LoadStatus ReadTopK(std::string_view blob, CountSketchTopK* dst,
+                             RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kCountSketchTopK, &r, &fp);
+    if (LoadStatus s =
+            OpenBlob(blob, SketchKind::kCountSketchTopK, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -559,7 +678,9 @@ struct SketchSerde {
     std::string_view inner;
     if (!r.GetBlob(&inner)) return Truncated("topk inner sketch blob");
     CountSketch sketch = dst->sketch_;
-    if (LoadStatus s = ReadCountSketch(inner, &sketch); !s.ok()) return s;
+    if (LoadStatus s = ReadCountSketch(inner, &sketch, checks); !s.ok()) {
+      return s;
+    }
     uint64_t n = 0;
     if (!r.GetU64(&n)) return Truncated("topk candidate count");
     if (n > r.remaining() / 16) return Truncated("topk candidates");
@@ -574,6 +695,7 @@ struct SketchSerde {
       candidates.Assign(item, estimate);
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->sketch_ = std::move(sketch);
     dst->candidates_ = std::move(candidates);
     return LoadStatus::Ok();
@@ -587,10 +709,12 @@ struct SketchSerde {
   }
 
   static LoadStatus ReadExactHH(std::string_view blob,
-                                ExactHeavyHitterSketch* dst) {
+                                ExactHeavyHitterSketch* dst,
+                                RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kExactHeavyHitter, &r, &fp);
+    if (LoadStatus s =
+            OpenBlob(blob, SketchKind::kExactHeavyHitter, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -598,8 +722,11 @@ struct SketchSerde {
     std::string_view inner;
     if (!r.GetBlob(&inner)) return Truncated("exact_hh inner blob");
     ExactFrequencySketch freq = dst->freq_;
-    if (LoadStatus s = ReadExactFrequency(inner, &freq); !s.ok()) return s;
+    if (LoadStatus s = ReadExactFrequency(inner, &freq, checks); !s.ok()) {
+      return s;
+    }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->freq_ = std::move(freq);
     return LoadStatus::Ok();
   }
@@ -612,11 +739,11 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadOnePass(std::string_view blob,
-                                OnePassHeavyHitter* dst) {
+  static LoadStatus ReadOnePass(std::string_view blob, OnePassHeavyHitter* dst,
+                                RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kOnePassHH, &r, &fp);
+    if (LoadStatus s = OpenBlob(blob, SketchKind::kOnePassHH, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -626,9 +753,12 @@ struct SketchSerde {
     if (!r.GetBlob(&ams_blob)) return Truncated("one_pass_hh ams");
     CountSketchTopK tracker = dst->tracker_;
     AmsSketch ams = dst->ams_;
-    if (LoadStatus s = ReadTopK(tracker_blob, &tracker); !s.ok()) return s;
-    if (LoadStatus s = ReadAms(ams_blob, &ams); !s.ok()) return s;
+    if (LoadStatus s = ReadTopK(tracker_blob, &tracker, checks); !s.ok()) {
+      return s;
+    }
+    if (LoadStatus s = ReadAms(ams_blob, &ams, checks); !s.ok()) return s;
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->tracker_ = std::move(tracker);
     dst->ams_ = std::move(ams);
     return LoadStatus::Ok();
@@ -645,11 +775,11 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadTwoPass(std::string_view blob,
-                                TwoPassHeavyHitter* dst) {
+  static LoadStatus ReadTwoPass(std::string_view blob, TwoPassHeavyHitter* dst,
+                                RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kTwoPassHH, &r, &fp);
+    if (LoadStatus s = OpenBlob(blob, SketchKind::kTwoPassHH, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -664,7 +794,9 @@ struct SketchSerde {
     std::string_view tracker_blob;
     if (!r.GetBlob(&tracker_blob)) return Truncated("two_pass_hh tracker");
     CountSketchTopK tracker = dst->tracker_;
-    if (LoadStatus s = ReadTopK(tracker_blob, &tracker); !s.ok()) return s;
+    if (LoadStatus s = ReadTopK(tracker_blob, &tracker, checks); !s.ok()) {
+      return s;
+    }
     uint64_t n = 0;
     if (!r.GetU64(&n)) return Truncated("two_pass_hh candidate count");
     if (n > r.remaining() / 16) return Truncated("two_pass_hh candidates");
@@ -677,6 +809,7 @@ struct SketchSerde {
       if (!r.GetI64(&c)) return Truncated("two_pass_hh exact counts");
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->current_pass_ = static_cast<int>(pass);
     dst->tracker_ = std::move(tracker);
     dst->candidate_ids_ = std::move(ids);
@@ -696,10 +829,12 @@ struct SketchSerde {
     FinishBlob(w);
   }
 
-  static LoadStatus ReadRecursive(std::string_view blob, RecursiveGSum* dst) {
+  static LoadStatus ReadRecursive(std::string_view blob, RecursiveGSum* dst,
+                                  RegionChecks* checks) {
     ByteReader r{std::string_view()};
     uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kRecursiveGSum, &r, &fp);
+    if (LoadStatus s =
+            OpenBlob(blob, SketchKind::kRecursiveGSum, checks, &r, &fp);
         !s.ok()) {
       return s;
     }
@@ -732,14 +867,17 @@ struct SketchSerde {
                 ", destination level is " +
                 KindName(KindOfHeavyHitter(*level)));
       }
-      if (LoadStatus s = DeserializeHeavyHitter(level_blob, level.get());
+      checks->prefix = "level " + std::to_string(l) + ": ";
+      if (LoadStatus s = ReadHeavyHitter(level_blob, level.get(), checks);
           !s.ok()) {
-        s.message = "level " + std::to_string(l) + ": " + s.message;
+        s.message = checks->prefix + s.message;
         return s;
       }
       levels.push_back(std::move(level));
     }
+    checks->prefix.clear();
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
+    if (LoadStatus s = checks->Settle(blob); !s.ok()) return s;
     dst->sketches_ = std::move(levels);
     return LoadStatus::Ok();
   }
@@ -761,6 +899,29 @@ struct SketchSerde {
                  "sketch_io: unknown GHeavyHitterSketch subclass cannot be "
                  "serialized\n");
     std::abort();
+  }
+
+  // The polymorphic reader behind DeserializeHeavyHitter and the levels of
+  // ReadRecursive.
+  static LoadStatus ReadHeavyHitter(std::string_view blob,
+                                    GHeavyHitterSketch* dst,
+                                    RegionChecks* checks) {
+    if (auto* s = dynamic_cast<OnePassHeavyHitter*>(dst)) {
+      return ReadOnePass(blob, s, checks);
+    }
+    if (auto* s = dynamic_cast<TwoPassHeavyHitter*>(dst)) {
+      return ReadTwoPass(blob, s, checks);
+    }
+    if (auto* s = dynamic_cast<GnpHeavyHitter*>(dst)) {
+      return ReadGnp(blob, s, checks);
+    }
+    if (auto* s = dynamic_cast<ExactHeavyHitterSketch*>(dst)) {
+      return ReadExactHH(blob, s, checks);
+    }
+    return LoadStatus::Fail(
+        LoadError::kTypeMismatch,
+        "destination is a GHeavyHitterSketch subclass the wire format does "
+        "not know");
   }
 
   // The one polymorphic writer: SerializeHeavyHitter and the levels of
@@ -792,6 +953,16 @@ std::string Sealed(void (*write)(ByteWriter*, const SketchT&),
   ByteWriter w;
   write(&w, sketch);
   return w.Seal();
+}
+
+// Reads one blob into `dst`: the reader decodes, the blob's regions are
+// verified in one sweep, and only then does the root reader commit.
+template <typename SketchT>
+LoadStatus Loaded(LoadStatus (*read)(std::string_view, SketchT*,
+                                     RegionChecks*),
+                  std::string_view blob, SketchT* dst) {
+  RegionChecks checks(blob);
+  return checks.Resolve(read(blob, dst, &checks));
 }
 
 }  // namespace
@@ -834,36 +1005,36 @@ std::string SerializeSketch(const RecursiveGSum& stack) {
 }
 
 LoadStatus DeserializeSketch(std::string_view blob, CountSketch* dst) {
-  return persist::SketchSerde::ReadCountSketch(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadCountSketch, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob, CountMinSketch* dst) {
-  return persist::SketchSerde::ReadCountMin(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadCountMin, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob, AmsSketch* dst) {
-  return persist::SketchSerde::ReadAms(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadAms, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob, GnpHeavyHitter* dst) {
-  return persist::SketchSerde::ReadGnp(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadGnp, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob,
                              ExactFrequencySketch* dst) {
-  return persist::SketchSerde::ReadExactFrequency(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadExactFrequency, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob, CountSketchTopK* dst) {
-  return persist::SketchSerde::ReadTopK(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadTopK, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob,
                              ExactHeavyHitterSketch* dst) {
-  return persist::SketchSerde::ReadExactHH(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadExactHH, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob, OnePassHeavyHitter* dst) {
-  return persist::SketchSerde::ReadOnePass(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadOnePass, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob, TwoPassHeavyHitter* dst) {
-  return persist::SketchSerde::ReadTwoPass(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadTwoPass, blob, dst);
 }
 LoadStatus DeserializeSketch(std::string_view blob, RecursiveGSum* dst) {
-  return persist::SketchSerde::ReadRecursive(blob, dst);
+  return persist::Loaded(persist::SketchSerde::ReadRecursive, blob, dst);
 }
 
 std::string SerializeHeavyHitter(const GHeavyHitterSketch& sketch) {
@@ -872,22 +1043,7 @@ std::string SerializeHeavyHitter(const GHeavyHitterSketch& sketch) {
 
 LoadStatus DeserializeHeavyHitter(std::string_view blob,
                                   GHeavyHitterSketch* dst) {
-  if (auto* s = dynamic_cast<OnePassHeavyHitter*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  if (auto* s = dynamic_cast<TwoPassHeavyHitter*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  if (auto* s = dynamic_cast<GnpHeavyHitter*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  if (auto* s = dynamic_cast<ExactHeavyHitterSketch*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  return LoadStatus::Fail(
-      LoadError::kTypeMismatch,
-      "destination is a GHeavyHitterSketch subclass the wire format does "
-      "not know");
+  return persist::Loaded(persist::SketchSerde::ReadHeavyHitter, blob, dst);
 }
 
 std::optional<SketchKind> PeekSketchKind(std::string_view blob) {

@@ -26,8 +26,12 @@
 // version skew, kind/fingerprint/geometry mismatch, truncation, bit flips
 // (whole-blob checksum), and trailing garbage all come back as a clean
 // LoadStatus with the precise reason, and the destination sketch is left
-// untouched on every failure path.  tests/persist/sketch_io_test.cc
-// sweeps byte flips over every position and truncations at every length.
+// untouched on every failure path.  A load decodes first and then checks
+// the checksums of every nested blob it opened in one sweep, reporting the
+// reason a blob-by-blob check would (docs/persistence.md).
+// tests/persist/sketch_io_test.cc sweeps byte flips over every position and
+// truncations at every length; sketch_io_nested_test.cc pins the reasons
+// for corruption inside nested blobs.
 
 #ifndef GSTREAM_PERSIST_SKETCH_IO_H_
 #define GSTREAM_PERSIST_SKETCH_IO_H_

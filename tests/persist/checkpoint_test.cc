@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -120,6 +121,40 @@ TEST(CheckpointTest, ResumeIsBitExactRoundRobin) {
 // must carry and re-stage those for the resumed framing to match.
 TEST(CheckpointTest, ResumeIsBitExactHashItemWithStagedChunks) {
   ResumeIsBitExact(PartitionPolicy::kHashItem);
+}
+
+// The stop contract in checkpoint.h: a run stopped by the hook at cursor c
+// has submitted exactly [0, c), so the *same* ingestor carries on from c
+// and ends bit-identical to an uninterrupted run.
+TEST(CheckpointTest, StopHookLeavesIngestorAtCursor) {
+  for (const PartitionPolicy policy :
+       {PartitionPolicy::kRoundRobinChunks, PartitionPolicy::kHashItem}) {
+    const std::string tag = std::to_string(static_cast<int>(policy));
+    CheckpointOptions ckpt;
+    ckpt.interval_updates = 2 * kStreamBatchSize;
+    ckpt.path = TempPath("ckpt_stop_ref_" + tag + ".gckp");
+    const std::string reference = UninterruptedRun(policy, ckpt);
+    std::remove(ckpt.path.c_str());
+
+    const Stream stream = MakeTestStream();
+    ckpt.path = TempPath("ckpt_stop_" + tag + ".gckp");
+    ShardedIngestor<CountSketchTopK> ingest = MakeIngestor(policy);
+    ingest.Open(3);
+    uint64_t hooked_at = 0;
+    const uint64_t stopped = RunWithCheckpoints<CountSketchTopK>(
+        ingest, stream, 0, ckpt, [&hooked_at](uint64_t cursor) {
+          hooked_at = cursor;
+          return cursor < 4 * kStreamBatchSize;
+        });
+    ASSERT_EQ(stopped, hooked_at);
+    ASSERT_LT(stopped, stream.length());
+    EXPECT_EQ(ingest.stats().updates_submitted, stopped);
+    const uint64_t end =
+        RunWithCheckpoints<CountSketchTopK>(ingest, stream, stopped, ckpt);
+    ASSERT_EQ(end, stream.length());
+    EXPECT_EQ(SerializeSketch(ingest.Close()), reference) << tag;
+    std::remove(ckpt.path.c_str());
+  }
 }
 
 TEST(CheckpointTest, ResumePreservesIngestStats) {
@@ -336,6 +371,122 @@ TEST(CheckpointTest, RestoreRejectsShardCountMismatch) {
   EXPECT_EQ(status.error, LoadError::kGeometryMismatch);
   two_shards.Drain();
 }
+
+// A snapshot of a live 3-shard ingestor, passed through the wire format so
+// the image carries a valid checksum, with `edit` applied before encoding.
+CheckpointImage SealedImage(PartitionPolicy policy,
+                            const std::function<void(CheckpointImage*)>& edit) {
+  const Stream stream = MakeTestStream();
+  ShardedIngestor<CountSketchTopK> source = MakeIngestor(policy);
+  source.Open(3);
+  source.Submit(stream.updates().data(), 2 * kStreamBatchSize + 7);
+  CheckpointImage image = SnapshotIngestor(source, 2 * kStreamBatchSize + 7);
+  source.Drain();
+  edit(&image);
+  CheckpointImage decoded;
+  const LoadStatus status = DecodeCheckpoint(EncodeCheckpoint(image), &decoded);
+  EXPECT_TRUE(status.ok()) << status.message;
+  return decoded;
+}
+
+// Restores `image` into a fresh ingestor, expecting `error` with `needle`
+// in the message and the ingestor untouched.
+void ExpectRestoreRejects(const CheckpointImage& image, PartitionPolicy policy,
+                          LoadError error, const std::string& needle) {
+  ShardedIngestor<CountSketchTopK> fresh = MakeIngestor(policy);
+  fresh.Open(3);
+  const std::string before = SerializeSketch(fresh.replicas()[0]);
+  const LoadStatus status = RestoreIngestor(image, &fresh);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error, error) << status.message;
+  EXPECT_NE(status.message.find(needle), std::string::npos) << status.message;
+  EXPECT_EQ(fresh.stats().updates_submitted, 0u);
+  for (CountSketchTopK& replica : fresh.replicas()) {
+    EXPECT_EQ(SerializeSketch(replica), before);
+  }
+  fresh.Drain();
+}
+
+// A valid checksum proves only that the bytes are the ones written; these
+// producer states would index past the shard table or overflow a chunk.
+TEST(CheckpointTest, RestoreRejectsRoundRobinCursorPastLastShard) {
+  const CheckpointImage image =
+      SealedImage(PartitionPolicy::kRoundRobinChunks,
+                  [](CheckpointImage* i) { i->producer.round_robin_next = 3; });
+  ExpectRestoreRejects(image, PartitionPolicy::kRoundRobinChunks,
+                       LoadError::kDomainError, "shard 3 of 3");
+}
+
+TEST(CheckpointTest, RestoreRejectsStagedChunkOfFullLength) {
+  const CheckpointImage image =
+      SealedImage(PartitionPolicy::kHashItem, [](CheckpointImage* i) {
+        i->producer.staged[1].resize(kStreamBatchSize, Update{5, 1});
+      });
+  ExpectRestoreRejects(image, PartitionPolicy::kHashItem,
+                       LoadError::kDomainError, "shard 1:");
+}
+
+#if GSTREAM_OBS_ENABLED
+// The restore side records what the save side does: a histogram per phase,
+// outcome counters, and a trace span per phase.
+TEST(CheckpointTest, LoadAndRestoreRecordMetricsAndSpans) {
+  const std::string path = TempPath("ckpt_metrics.gckp");
+  const CheckpointImage good =
+      SealedImage(PartitionPolicy::kRoundRobinChunks, [](CheckpointImage*) {});
+  ASSERT_TRUE(SaveCheckpoint(good, path));
+  CheckpointImage bad = good;
+  bad.producer.round_robin_next = 7;
+
+  obs::Registry& registry = obs::Registry::Get();
+  const obs::RegistrySnapshot before = registry.Snapshot();
+  obs::TraceLog::Get().Clear();
+  obs::TraceLog::Get().Enable();
+  CheckpointImage loaded;
+  ASSERT_TRUE(LoadCheckpoint(path, &loaded).ok());
+  {
+    ShardedIngestor<CountSketchTopK> fresh =
+        MakeIngestor(PartitionPolicy::kRoundRobinChunks);
+    fresh.Open(3);
+    ASSERT_TRUE(RestoreIngestor(loaded, &fresh).ok());
+    fresh.Drain();
+  }
+  {
+    ShardedIngestor<CountSketchTopK> fresh =
+        MakeIngestor(PartitionPolicy::kRoundRobinChunks);
+    fresh.Open(3);
+    ASSERT_FALSE(RestoreIngestor(bad, &fresh).ok());
+    fresh.Drain();
+  }
+  obs::TraceLog::Get().Disable();
+  const std::string trace = obs::TraceLog::Get().ToJson();
+  obs::TraceLog::Get().Clear();
+  const obs::RegistrySnapshot after = registry.Snapshot();
+
+  const auto counter = [](const obs::RegistrySnapshot& snap,
+                          const std::string& name) {
+    return snap.counters.count(name) ? snap.counters.at(name) : 0;
+  };
+  const auto samples = [](const obs::RegistrySnapshot& snap,
+                          const std::string& name) {
+    return snap.histograms.count(name) ? snap.histograms.at(name).count : 0;
+  };
+  EXPECT_EQ(counter(after, "persist/ckpt_restores") -
+                counter(before, "persist/ckpt_restores"),
+            1u);
+  EXPECT_EQ(counter(after, "persist/ckpt_restore_failures") -
+                counter(before, "persist/ckpt_restore_failures"),
+            1u);
+  EXPECT_EQ(samples(after, "persist/ckpt_load_ns") -
+                samples(before, "persist/ckpt_load_ns"),
+            1u);
+  EXPECT_EQ(samples(after, "persist/ckpt_restore_ns") -
+                samples(before, "persist/ckpt_restore_ns"),
+            2u);
+  EXPECT_NE(trace.find("\"persist/load_checkpoint\""), std::string::npos);
+  EXPECT_NE(trace.find("\"persist/restore\""), std::string::npos);
+  std::remove(path.c_str());
+}
+#endif  // GSTREAM_OBS_ENABLED
 
 TEST(CheckpointTest, RestoreRejectsWrongSeedReplicas) {
   const Stream stream = MakeTestStream();
