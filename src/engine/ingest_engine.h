@@ -34,17 +34,8 @@
 //                         into per-shard staging chunks.
 //   * kRoundRobinChunks-- whole chunks rotate across shards (per producer):
 //                         perfectly load-balanced regardless of item skew.
-//   * kBroadcast       -- every worker sees every chunk: used to run
-//                         independent repetitions (e.g. the g-sum
-//                         estimator's medianed reps) concurrently.  With a
-//                         single producer each worker observes exactly the
-//                         sequential chunk sequence; with several, each
-//                         worker sees every producer's chunks but in an
-//                         arbitrary interleave -- exact for linear sinks
-//                         only.
-// Merge-after-close is exact for the first two by linearity; under
-// kBroadcast each sink individually equals its sequential self (single
-// producer) or the same multiset of chunks (multi-producer).
+// Both are exact partitions of the stream, so merge-after-close is exact
+// by linearity.
 //
 // Backpressure: memory stays bounded at
 // shards * max_producers * ring_chunks * 8 KiB regardless of policy; what
@@ -52,9 +43,9 @@
 // policy* (OverloadPolicy below, docs/robustness.md).  kBlock (default)
 // spins + yields until the worker frees a slot -- the bit-exact path.
 // kDeadline bounds the wait by options.stall_budget_ns and makes Submit
-// return a typed SubmitResult instead of spinning forever.  kShedOldest /
-// kShedIncoming drop data instead of waiting, with per-shard shed counters
-// making `routed == applied + shed` an exact conservation invariant.
+// return a typed SubmitResult instead of spinning forever.  kShedIncoming
+// drops data instead of waiting, with per-shard shed counters making
+// `routed == applied + shed` an exact conservation invariant.
 // Stall counts and stall time are reported per producer and in the
 // aggregated stats() under every policy.
 //
@@ -94,7 +85,6 @@ namespace gstream {
 enum class PartitionPolicy {
   kHashItem,
   kRoundRobinChunks,
-  kBroadcast,
 };
 
 // What a producer does when its destination ring is full (see the
@@ -110,12 +100,6 @@ enum class OverloadPolicy {
   // unconsumed (the caller owns the retry/drop decision).  Nothing is
   // shed by the engine itself.
   kDeadline,
-  // Prefer fresh data: ask the worker to drop the oldest queued chunk on
-  // the full lane, and wait up to stall_budget_ns for the slot; if the
-  // worker does not free one in time (e.g. it is wedged in a slow sink),
-  // shed the incoming updates instead.  Either way the loss lands in the
-  // shed counters.
-  kShedOldest,
   // Prefer queued data: drop the incoming updates immediately, never
   // wait.  The cheapest policy under sustained overload.
   kShedIncoming,
@@ -150,9 +134,9 @@ struct SubmitResult {
   // Updates the engine took ownership of: applied-or-shed, counted in
   // updates_submitted.  Always a prefix of the batch ([0, accepted)).
   uint64_t accepted = 0;
-  // Of `accepted`, updates this call shed synchronously (kShedIncoming,
-  // or kShedOldest falling back).  Chunks a worker drops *later* under
-  // kShedOldest are not visible here -- only in stats().updates_shed.
+  // Of `accepted`, updates this call shed (kShedIncoming).  Chunks a
+  // poisoned worker drains later are not visible here -- only in
+  // stats().updates_shed.
   uint64_t shed = 0;
   // kDeadline only: the stall budget ran out; updates[accepted..n) were
   // not consumed and remain the caller's.
@@ -167,8 +151,7 @@ struct IngestEngineOptions {
   // Ring capacity per lane, in chunks (rounded up to a power of two).
   size_t ring_chunks = 32;
   // Updates per chunk; must be in [1, kStreamBatchSize].  Keeping the
-  // default preserves ForEachBatch framing, which makes kBroadcast feeds
-  // bit-identical to a sequential ProcessStream pass per sink.
+  // default preserves ForEachBatch framing.
   size_t chunk_updates = kStreamBatchSize;
   // Producer lanes per shard.  AddProducer() may be called at most this
   // many times (the engine's own Submit() claims one lazily, like any
@@ -179,11 +162,9 @@ struct IngestEngineOptions {
   // Submit) to cores as described in the header comment.  Best effort;
   // default off.
   bool pin_threads = false;
-  // Full-ring behavior.  kBroadcast requires kBlock (a chunk shed on some
-  // shards but not others would give the "independent repetitions"
-  // different streams); the constructor CHECKs that.
+  // Full-ring behavior.
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  // Per-reserve wait bound for kDeadline / kShedOldest, in nanoseconds.
+  // Per-reserve wait bound for kDeadline, in nanoseconds.
   // Ignored under kBlock (unbounded) and kShedIncoming (never waits).
   uint64_t stall_budget_ns = 5'000'000;  // 5 ms
   // Watchdog deadline: a worker with queued chunks that advances no chunk
@@ -218,7 +199,7 @@ struct IngestStats {
   // it, and a resumed engine restarts it at zero.
   uint64_t producer_stall_ns = 0;
   // Updates dropped by the overload policy (producer-side incoming sheds
-  // plus worker-side oldest-chunk / poisoned-shard sheds).  Telemetry like
+  // plus worker-side poisoned-shard sheds).  Telemetry like
   // producer_stall_ns: never persisted, and identically zero under
   // kBlock on a healthy engine.
   uint64_t updates_shed = 0;
@@ -287,7 +268,7 @@ class ProducerHandle {
   // policy.  A full destination lane is handled per options.overload:
   // kBlock spins (the returned result is trivially all-accepted);
   // kDeadline may return early with timed_out set and the batch tail
-  // unconsumed; the shed policies always consume the whole batch but may
+  // unconsumed; kShedIncoming always consumes the whole batch but may
   // drop part of it (result.shed, stats().updates_shed).
   SubmitResult Submit(const Update* updates, size_t n);
   SubmitResult SubmitStream(const Stream& stream);
@@ -447,14 +428,6 @@ class IngestEngine {
     explicit Lane(size_t ring_chunks) : ring(ring_chunks) {}
     SpscRing<UpdateChunk> ring;
     alignas(64) std::atomic<bool> done{false};
-    // kShedOldest side-channel: the producer bumps this when it finds the
-    // ring full; the worker pops (without applying) one queued chunk per
-    // pending request, counting it shed, so the producer's reserve
-    // succeeds after at most one in-flight sink call.  Requests found
-    // with an empty ring are stale (the producer already got its slot)
-    // and are cancelled, so at most one extra chunk can be dropped per
-    // request -- a documented over-shed, never an under-count.
-    std::atomic<uint32_t> drop_oldest{0};
   };
 
   struct Shard {
@@ -481,7 +454,7 @@ class IngestEngine {
     // monotone heuristics in between).
     std::atomic<uint64_t> applied_updates{0};
     std::atomic<uint64_t> shed_updates{0};
-    // Chunks consumed (applied, shed, or dropped): the watchdog's
+    // Chunks consumed (applied or shed): the watchdog's
     // progress signal.
     std::atomic<uint64_t> progress{0};
     // Set by the worker on a sink exception or by the watchdog on a
@@ -559,14 +532,6 @@ class IngestEngine {
   EngineObs obs_;
   IngestStats obs_synced_;
 };
-
-// Runs every sink over the full stream concurrently (one worker per sink,
-// kBroadcast): each sink observes exactly the kStreamBatchSize chunk
-// sequence a sequential ProcessStream pass would feed it, so linear sinks
-// end bit-identical to their sequential selves.  This is the
-// "independent repetitions in parallel" pattern (GSumOptions /
-// OnePassHHOptions / TwoPassHHOptions parallel_ingest).
-void BroadcastStream(const Stream& stream, std::vector<BatchSink> sinks);
 
 }  // namespace gstream
 

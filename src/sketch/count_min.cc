@@ -75,7 +75,7 @@ void CountMinSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
     ops.prepare_batch2(updates + base, m, xm, delta);
     for (size_t j = 0; j < rows; ++j) {
       ops.eval2_bucket(h0[j], h1[j], xm, b, m, idx);
-      ops.scatter_add(counters_.data() + j * b, idx, delta, m);
+      ScatterAdd(counters_.data() + j * b, idx, delta, m);
     }
   }
 }

@@ -106,12 +106,11 @@ void CountSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
   // L1-resident block, (1) deinterleave the chunk and precompute the
   // shared per-item field powers, then per row (2) evaluate the row's
   // 4-wise polynomial lane-parallel and reduce to buckets, and (3)
-  // scatter the signed deltas through the dispatched scatter kernel
-  // (conflict-detected gather/scatter on AVX-512).  All staging lives in
-  // stack arrays (6 x 512 x 8 B), every tier produces the same canonical
-  // hashes, and duplicate-bucket folds commute under int64 wraparound, so
-  // the counters are bit-identical to the sequential Update loop under
-  // any dispatch.
+  // scatter the signed deltas with the scalar ScatterAdd loop.  All
+  // staging lives in stack arrays (6 x 512 x 8 B), every tier produces the
+  // same canonical hashes, and duplicate-bucket folds commute under int64
+  // wraparound, so the counters are bit-identical to the sequential Update
+  // loop under any dispatch.
   const simd::SimdOps& ops = simd::Ops();
   const size_t b = options_.buckets;
   const size_t rows = options_.rows;
@@ -131,7 +130,7 @@ void CountSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
     for (size_t j = 0; j < rows; ++j) {
       ops.eval4_bucket(d0[j], d1[j], d2[j], d3[j], xm, x2, x3, delta, b, m,
                        idx, sd);
-      ops.scatter_add_signed(counters_.data() + j * b, idx, sd, m);
+      ScatterAdd(counters_.data() + j * b, idx, sd, m);
     }
   }
 }

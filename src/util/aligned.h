@@ -1,8 +1,8 @@
 // 64-byte-aligned storage for sketch counter arrays.
 //
-// The scatter/gather kernels (util/simd/) index counter rows with 64-bit
-// lane offsets; aligning the base allocation to a cache line guarantees an
-// 8-wide gather or scatter over 8 consecutive buckets never splits a line,
+// The gather kernels (util/simd/) index counter rows with 64-bit lane
+// offsets; aligning the base allocation to a cache line guarantees an
+// 8-wide gather over 8 consecutive buckets never splits a line,
 // and gives the scalar path cleanly aligned rows for free whenever the
 // row stride is a multiple of 8 counters (every default geometry is).
 // std::vector's default allocator only promises alignof(std::max_align_t)

@@ -3,6 +3,7 @@
 #ifndef GSTREAM_UTIL_BIT_H_
 #define GSTREAM_UTIL_BIT_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/logging.h"
@@ -39,6 +40,18 @@ inline uint64_t NextPow2(uint64_t x) { return uint64_t{1} << Log2Ceil(x); }
 inline int64_t WrapAdd(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) +
                               static_cast<uint64_t>(b));
+}
+
+// counters[idx[i]] += delta[i] (mod 2^64) for i < n: the row scatter of
+// the batched CountSketch and Count-Min kernels.  Duplicate indices fold
+// in stream order, and any other order would give the same bits.  A plain
+// loop on purpose: vector scatters (AVX2 interleaved, AVX-512
+// vpconflictq) lost to it on every measured host (docs/simd.md).
+inline void ScatterAdd(int64_t* counters, const uint32_t* idx,
+                       const int64_t* delta, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    counters[idx[i]] = WrapAdd(counters[idx[i]], delta[i]);
+  }
 }
 
 // `a` if the low bit of `h` is set, else -a (mod 2^64): the +-1 sign a

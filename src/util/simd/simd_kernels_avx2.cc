@@ -247,38 +247,6 @@ void Avx2Eval4SignAccumulate(const uint64_t* coeffs, size_t rows,
   }
 }
 
-// AVX2 has no scatter instruction and no conflict detection, so the
-// scatter kernels are the scalar accumulation with the dependency chains
-// interleaved 4-wide (independent counters overlap in the store buffer; a
-// within-group duplicate is handled by the sequential order) plus a
-// software prefetch of the bucket lines one group ahead -- the win over
-// the plain loop comes from hiding counter-line misses on ranges past L1.
-void Avx2ScatterAddImpl(int64_t* counters, const uint32_t* idx,
-                        const int64_t* delta, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 4) {
-    __builtin_prefetch(counters + idx[i + 4], 1, 3);
-    __builtin_prefetch(counters + idx[i + 5], 1, 3);
-    __builtin_prefetch(counters + idx[i + 6], 1, 3);
-    __builtin_prefetch(counters + idx[i + 7], 1, 3);
-    counters[idx[i]] = WrapAdd(counters[idx[i]], delta[i]);
-    counters[idx[i + 1]] = WrapAdd(counters[idx[i + 1]], delta[i + 1]);
-    counters[idx[i + 2]] = WrapAdd(counters[idx[i + 2]], delta[i + 2]);
-    counters[idx[i + 3]] = WrapAdd(counters[idx[i + 3]], delta[i + 3]);
-  }
-  ScalarScatterAdd(counters, idx + i, delta + i, n - i);
-}
-
-void Avx2ScatterAdd(int64_t* counters, const uint32_t* idx,
-                    const int64_t* delta, size_t n) {
-  Avx2ScatterAddImpl(counters, idx, delta, n);
-}
-
-void Avx2ScatterAddSigned(int64_t* counters, const uint32_t* idx,
-                          const int64_t* sd, size_t n) {
-  Avx2ScatterAddImpl(counters, idx, sd, n);
-}
-
 void Avx2GatherSigned(const int64_t* counters, const uint32_t* idx,
                       const int64_t* sign, size_t n, int64_t* out) {
   size_t i = 0;
@@ -325,8 +293,6 @@ const SimdOps* GetAvx2Ops() {
       &Avx2Eval2Bucket,
       &Avx2Eval4SignAccumulate,
       &Avx2Eval2ParityOr,
-      &Avx2ScatterAdd,
-      &Avx2ScatterAddSigned,
       &Avx2GatherSigned,
   };
   return &ops;

@@ -18,8 +18,6 @@ const SimdOps* GetScalarOps() {
       &ScalarEval2Bucket,
       &ScalarEval4SignAccumulate,
       &ScalarEval2ParityOr,
-      &ScalarScatterAdd,
-      &ScalarScatterAddSigned,
       &ScalarGatherSigned,
   };
   return &ops;

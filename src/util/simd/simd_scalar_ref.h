@@ -93,25 +93,8 @@ inline void ScalarEval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
   }
 }
 
-// The scatter/gather reference kernels define the semantics the vector
-// tiers must reproduce: sequential stream-order accumulation mod 2^64 (any
-// fold order is bit-identical anyway -- wraparound addition commutes) and
-// multiply-by-sign decode.
-
-inline void ScalarScatterAdd(int64_t* counters, const uint32_t* idx,
-                             const int64_t* delta, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    counters[idx[i]] = WrapAdd(counters[idx[i]], delta[i]);
-  }
-}
-
-inline void ScalarScatterAddSigned(int64_t* counters, const uint32_t* idx,
-                                   const int64_t* sd, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    counters[idx[i]] = WrapAdd(counters[idx[i]], sd[i]);
-  }
-}
-
+// The gather reference kernel defines the decode the vector tiers must
+// reproduce: multiply-by-sign.
 inline void ScalarGatherSigned(const int64_t* counters, const uint32_t* idx,
                                const int64_t* sign, size_t n, int64_t* out) {
   for (size_t i = 0; i < n; ++i) {

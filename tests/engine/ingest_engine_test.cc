@@ -221,32 +221,6 @@ TEST(IngestEngineTest, RoundRobinBalancesUpdatesAcrossShards) {
             stream.length() / kStreamBatchSize);
 }
 
-TEST(IngestEngineTest, BroadcastFeedsEverySinkTheSequentialChunkSequence) {
-  // Three raw-engine sinks record what they see; each must observe exactly
-  // the ForEachBatch(kStreamBatchSize) chunk sequence.
-  const Stream stream = MakeTurnstileStream(207);
-  std::vector<std::vector<Update>> seen(3);
-  std::vector<BatchSink> sinks;
-  for (auto& log : seen) {
-    sinks.push_back([&log](const Update* ups, size_t n) {
-      log.insert(log.end(), ups, ups + n);
-    });
-  }
-  IngestEngineOptions options;
-  options.shards = 3;
-  options.policy = PartitionPolicy::kBroadcast;
-  IngestEngine engine(options, std::move(sinks));
-  engine.SubmitStream(stream);
-  engine.Close();
-  for (const auto& log : seen) {
-    ASSERT_EQ(log.size(), stream.length());
-    for (size_t i = 0; i < log.size(); ++i) {
-      ASSERT_EQ(log[i].item, stream.updates()[i].item);
-      ASSERT_EQ(log[i].delta, stream.updates()[i].delta);
-    }
-  }
-}
-
 TEST(IngestEngineTest, BackpressureBoundsMemoryAndLosesNothing) {
   // A tiny ring with a deliberately slow consumer forces producer stalls;
   // every update must still arrive exactly once.
@@ -579,24 +553,6 @@ TEST(IngestEngineDeathTest, GSumShardedProcessRejectsPreFedState) {
       {
         GSumEstimator estimator(MakePower(2.0), 1 << 10, options);
         estimator.Update(7, 100);  // pre-fed incremental state
-        Stream tiny(1 << 10);
-        tiny.Append(1, 1);
-        estimator.Process(tiny);
-      },
-      "GSTREAM_CHECK");
-}
-
-TEST(IngestEngineDeathTest, GSumShardedProcessRejectsBroadcastPolicy) {
-  // Broadcast would feed every whole-stack replica the full stream and the
-  // close-time fold would multiply counts; Process() must refuse.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  GSumOptions options;
-  options.repetitions = 1;
-  options.parallel_ingest = true;
-  options.ingest_policy = PartitionPolicy::kBroadcast;
-  ASSERT_DEATH(
-      {
-        GSumEstimator estimator(MakePower(2.0), 1 << 10, options);
         Stream tiny(1 << 10);
         tiny.Append(1, 1);
         estimator.Process(tiny);

@@ -25,6 +25,7 @@
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/generators.h"
+#include "util/bit.h"
 #include "util/simd/simd_dispatch.h"
 #include "util/simd/simd_scalar_ref.h"
 
@@ -49,12 +50,9 @@ class SimdDispatchTest : public ::testing::TestWithParam<IsaTier> {
                    << " not available on this build/host";
     }
   }
-  // Restore CPUID dispatch and the default scatter policy so later tests
-  // see the production configuration.
-  void TearDown() override {
-    simd::ForceScatterDispatch(simd::ScatterDispatch::kDefault);
-    simd::ClearForcedIsaTier();
-  }
+  // Restore CPUID dispatch so later tests see the production
+  // configuration.
+  void TearDown() override { simd::ClearForcedIsaTier(); }
 };
 
 TEST_P(SimdDispatchTest, ForceAndClearRoundTrip) {
@@ -386,18 +384,14 @@ TEST_P(SimdDispatchTest, MergePinsHoldUnderForcedTier) {
   EXPECT_EQ(merged_estimates, estimates);
 }
 
-// Conflict-storm pins for the scatter/gather kernels.  The AVX-512 tier's
-// native scatter resolves duplicate buckets inside a lane group with a
-// vpconflictq-driven combine, so the adversarial patterns are exactly the
-// ones where every lane collides: one repeated key, two alternating keys,
-// and duplicate runs spanning whole kSimdBlock batches.  int64 wraparound
-// addition commutes, so every tier must land bit-identically on the
-// scalar loop.  ForceScatterDispatch(kVector) publishes the native vector
-// kernels -- default dispatch picks the scalar scatter winner (see
-// docs/simd.md), which would make this test vacuously scalar-vs-scalar.
+// Conflict-storm pins for the gather kernel, on the adversarial index
+// patterns of the counter scatter -- every lane collides: one repeated
+// key, two alternating keys, duplicate runs spanning whole kSimdBlock
+// batches.  ScatterAdd builds the counters from each pattern, and every
+// tier's gather_signed must read them back bit-identically to
+// ScalarGatherSigned.
 TEST_P(SimdDispatchTest, ScatterKernelsMatchScalarOnConflictStorms) {
   ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kVector);
   const simd::SimdOps& ops = simd::Ops();
   Rng rng(0xc0f1);
   const size_t kCounters = 1024;
@@ -421,58 +415,52 @@ TEST_P(SimdDispatchTest, ScatterKernelsMatchScalarOnConflictStorms) {
 
   for (const Pattern& p : patterns) {
     std::vector<uint32_t> idx(p.n);
-    std::vector<int64_t> delta(p.n), sd(p.n), sign(p.n);
+    std::vector<int64_t> sd(p.n), sign(p.n);
     for (size_t i = 0; i < p.n; ++i) {
       idx[i] = p.index_of(i);
-      delta[i] = static_cast<int64_t>(rng.UniformInt(-1000, 1000));
       sign[i] = (rng.UniformInt(0, 1) == 0) ? 1 : -1;
-      sd[i] = delta[i] * sign[i];
+      sd[i] = static_cast<int64_t>(rng.UniformInt(-1000, 1000)) * sign[i];
     }
+    std::vector<int64_t> counters(kCounters, 0);
+    ScatterAdd(counters.data(), idx.data(), sd.data(), p.n);
 
-    std::vector<int64_t> got(kCounters, 0), want(kCounters, 0);
-    ops.scatter_add(got.data(), idx.data(), delta.data(), p.n);
-    simd::ScalarScatterAdd(want.data(), idx.data(), delta.data(), p.n);
-    EXPECT_EQ(got, want) << "scatter_add pattern " << p.name;
-
-    std::fill(got.begin(), got.end(), 0);
-    std::fill(want.begin(), want.end(), 0);
-    ops.scatter_add_signed(got.data(), idx.data(), sd.data(), p.n);
-    simd::ScalarScatterAddSigned(want.data(), idx.data(), sd.data(), p.n);
-    EXPECT_EQ(got, want) << "scatter_add_signed pattern " << p.name;
-
-    std::vector<int64_t> gout(p.n, 0), rout(p.n, 0);
-    ops.gather_signed(want.data(), idx.data(), sign.data(), p.n,
-                      gout.data());
-    simd::ScalarGatherSigned(want.data(), idx.data(), sign.data(), p.n,
-                             rout.data());
-    EXPECT_EQ(gout, rout) << "gather_signed pattern " << p.name;
+    std::vector<int64_t> got(p.n, 0), want(p.n, 0);
+    ops.gather_signed(counters.data(), idx.data(), sign.data(), p.n,
+                      got.data());
+    simd::ScalarGatherSigned(counters.data(), idx.data(), sign.data(), p.n,
+                             want.data());
+    EXPECT_EQ(got, want) << "gather_signed pattern " << p.name;
   }
 
-  // Wraparound fold order: deltas near the int64 extremes overflow inside
-  // a duplicate group; the contract is wraparound equality, not saturation.
+  // Wraparound decode: counters at the int64 extremes, where negating
+  // INT64_MIN wraps; the contract is the scalar multiply's bits.
   {
     const size_t n = 32;
-    std::vector<uint32_t> idx(n, 5);
-    std::vector<int64_t> delta(n);
+    std::vector<int64_t> counters(kCounters, 0);
+    counters[5] = std::numeric_limits<int64_t>::min();
+    counters[6] = std::numeric_limits<int64_t>::max();
+    std::vector<uint32_t> idx(n);
+    std::vector<int64_t> sign(n);
     for (size_t i = 0; i < n; ++i) {
-      delta[i] = (i & 1) ? std::numeric_limits<int64_t>::max()
-                         : std::numeric_limits<int64_t>::min() + 7;
+      idx[i] = (i % 3 == 0) ? 6u : 5u;
+      sign[i] = (i & 1) ? -1 : 1;
     }
-    std::vector<int64_t> got(kCounters, 0), want(kCounters, 0);
-    ops.scatter_add(got.data(), idx.data(), delta.data(), n);
-    simd::ScalarScatterAdd(want.data(), idx.data(), delta.data(), n);
-    EXPECT_EQ(got, want) << "wraparound duplicate fold";
+    std::vector<int64_t> got(n, 0), want(n, 0);
+    ops.gather_signed(counters.data(), idx.data(), sign.data(), n,
+                      got.data());
+    simd::ScalarGatherSigned(counters.data(), idx.data(), sign.data(), n,
+                             want.data());
+    EXPECT_EQ(got, want) << "wraparound decode";
   }
 }
 
 // Whole-sketch conflict storms: streams whose batches are exactly the
 // adversarial duplicate patterns, pinned batch == single under the forced
-// tier with the native vector kernels published.  This drives the
-// conflict loop through the real sketch scatter passes (CountSketch
-// signed, Count-Min unsigned) rather than raw arrays.
+// tier.  This drives the duplicates through the real sketch scatter
+// passes (CountSketch signed, Count-Min unsigned) and the tier's native
+// gather decode rather than raw arrays.
 TEST_P(SimdDispatchTest, SketchConflictStormBatchSinglePin) {
   ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kVector);
   Rng srng(0x5701);
   std::vector<Update> ups;
   // One hot key for a full block, then two alternating keys, then runs of

@@ -20,17 +20,19 @@
 //     (worker-stalled / sink-exception) or a shed-capable policy's
 //     counters -- never silent loss.
 //
-// `--policy=block|deadline|shed-oldest|shed-incoming` selects the overload
-// policy (broadcast is excluded by construction: it requires kBlock and is
-// pinned in tests/engine/multi_producer_test.cc).  `--list-sites` dumps the
-// enumerable fault-site catalog after one engine construction and exits --
-// the discovery path a schedule author starts from.
+// `--policy=block|deadline|shed-incoming` selects the overload policy.
+// `--shards`, `--producers` and `--seeds` take positive decimal integers;
+// an unknown policy, a malformed number or a zero count exits 2 before
+// any engine starts.  `--list-sites` dumps the enumerable fault-site
+// catalog after one engine construction and exits -- the discovery path a
+// schedule author starts from.
 //
 // Built with GSTREAM_FAULTS=OFF the registry is a stub (nothing ever
 // fires); the harness still runs and still asserts conservation and
 // bit-exactness -- it just degenerates to a concurrency soak, so the flag
 // is reported in the output.
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -71,23 +73,37 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
+// The value of a numeric flag: all decimal digits, no overflow, and (for
+// the counts) nonzero.  Anything else exits 2 -- a zero or garbage shard
+// count would otherwise reach a `% shards` or an engine CHECK.
+uint64_t NumberFlag(const char* name, const std::string& v, bool positive) {
+  errno = 0;
+  const uint64_t n = std::strtoull(v.c_str(), nullptr, 10);
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE || (positive && n == 0)) {
+    std::fprintf(stderr, "chaos_ingest: invalid %s=%s (want a %s integer)\n",
+                 name, v.c_str(), positive ? "positive" : "non-negative");
+    std::exit(2);
+  }
+  return n;
+}
+
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   std::string v;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (ParseFlag(a, "--base-seed", &v)) f.base_seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--seeds", &v)) f.seeds = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--shards", &v)) f.shards = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--producers", &v)) f.producers = std::strtoull(v.c_str(), nullptr, 10);
+    if (ParseFlag(a, "--base-seed", &v)) f.base_seed = NumberFlag("--base-seed", v, false);
+    else if (ParseFlag(a, "--seeds", &v)) f.seeds = NumberFlag("--seeds", v, true);
+    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = NumberFlag("--stream-seed", v, false);
+    else if (ParseFlag(a, "--shards", &v)) f.shards = NumberFlag("--shards", v, true);
+    else if (ParseFlag(a, "--producers", &v)) f.producers = NumberFlag("--producers", v, true);
     else if (std::strcmp(a, "--list-sites") == 0) f.list_sites = true;
     else if (std::strcmp(a, "--verbose") == 0) f.verbose = true;
     else if (ParseFlag(a, "--policy", &v)) {
       // Spellings match OverloadPolicyName().
       if (v == "block") f.policy = OverloadPolicy::kBlock;
       else if (v == "deadline") f.policy = OverloadPolicy::kDeadline;
-      else if (v == "shed-oldest") f.policy = OverloadPolicy::kShedOldest;
       else if (v == "shed-incoming") f.policy = OverloadPolicy::kShedIncoming;
       else { std::fprintf(stderr, "chaos_ingest: unknown --policy=%s\n", v.c_str()); std::exit(2); }
     } else {
