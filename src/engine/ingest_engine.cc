@@ -427,6 +427,21 @@ void IngestEngine::WorkerLoop(Shard* shard) {
       shard->progress.fetch_add(1, std::memory_order_relaxed);
     }
     if (drained) continue;
+    // Idle: a task posted by RunOnWorkers runs here, never between the
+    // chunks of a busy pass.  This thread alone writes task_done.
+    const uint64_t epoch = shard->task_epoch.load(std::memory_order_acquire);
+    if (epoch != shard->task_done.load(std::memory_order_relaxed)) {
+      // The pass above may have read the rings before the producer's last
+      // commits; after the acquire they are visible, so drain them first.
+      bool all_empty = true;
+      for (size_t l = 0; l < n_lanes && all_empty; ++l) {
+        all_empty = shard->lanes[l]->ring.Front() == nullptr;
+      }
+      if (!all_empty) continue;
+      (*task_)(shard->index);
+      shard->task_done.store(epoch, std::memory_order_release);
+      continue;
+    }
     // Every lane looked empty this pass: exit only once every lane's
     // `done` is set AND its ring is still empty afterwards.  A producer
     // commits its final chunks before setting done (release), so the
@@ -615,6 +630,25 @@ EngineError IngestEngine::Flush() {
   }
   SyncObsRegistry();
   return error();
+}
+
+void IngestEngine::RunOnWorkers(const std::function<void(size_t)>& task) {
+  if (closed_) {
+    // The workers are joined; their sinks are quiescent and ours to read.
+    for (size_t s = 0; s < shards_.size(); ++s) task(s);
+    return;
+  }
+  task_ = &task;
+  ++task_epoch_;
+  for (auto& shard : shards_) {
+    shard->task_epoch.store(task_epoch_, std::memory_order_release);
+  }
+  for (auto& shard : shards_) {
+    while (shard->task_done.load(std::memory_order_acquire) != task_epoch_) {
+      std::this_thread::yield();
+    }
+  }
+  task_ = nullptr;
 }
 
 IngestProducerState IngestEngine::SnapshotProducerState() const {

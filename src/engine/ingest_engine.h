@@ -385,6 +385,20 @@ class IngestEngine {
   // Thread-safe; stable once Close() returned.
   EngineError error() const;
 
+  // Runs task(s) for every shard s on shard s's own worker thread, all
+  // shards in parallel, and returns once every call has finished: the way
+  // to read or serialize a sink without stopping the worker that owns it
+  // (the checkpoint capture runs here).  The worker picks the task up in
+  // its idle branch, so it runs after the worker has drained every chunk
+  // committed before this call.  Producer thread only, between its own
+  // Submit calls, on a single-producer engine: call it after a Flush()
+  // that returned ok -- a worker the watchdog named stalled may never
+  // reach its idle branch.  On a closed engine the calls run here, one
+  // shard after another.  Release/acquire on the per-shard task epochs
+  // orders everything the caller did before the call before each task,
+  // and each task before the return (docs/engine.md).
+  void RunOnWorkers(const std::function<void(size_t shard)>& task);
+
   // The producer-side routing state at a quiescent point (call Flush()
   // first if sink state is being captured alongside).  Pure read.
   // Single-producer engines only (internal handle; CHECK-fails if
@@ -466,6 +480,13 @@ class IngestEngine {
     // raises in place of the sink call).
     fault::FaultPoint* fault_sink_stall = nullptr;
     fault::FaultPoint* fault_sink_throw = nullptr;
+    // RunOnWorkers handshake: the producer publishes the task and then
+    // bumps task_epoch (release); the idle worker acquires it, runs the
+    // task and stores the same value to task_done (release), which the
+    // producer acquires.  Their own cache line: the idle worker polls
+    // task_epoch between ring checks.
+    alignas(64) std::atomic<uint64_t> task_epoch{0};
+    std::atomic<uint64_t> task_done{0};
   };
 
   void WorkerLoop(Shard* shard);
@@ -494,6 +515,11 @@ class IngestEngine {
   std::atomic<size_t> next_producer_{0};
   ProducerHandle* internal_ = nullptr;  // lazily claimed by Submit()
   bool closed_ = false;
+
+  // The task RunOnWorkers is running and its epoch (producer-written,
+  // published to the workers by each shard's task_epoch).
+  const std::function<void(size_t)>* task_ = nullptr;
+  uint64_t task_epoch_ = 0;
 
   // First-error-wins failure record; error_flag_ is the lock-free "is
   // anything wrong" fast check (Flush's wait loop, producers).

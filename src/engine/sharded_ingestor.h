@@ -147,6 +147,16 @@ class ShardedIngestor {
     return engine_->Flush();
   }
 
+  // Runs fn(shard, replica) for every shard on the worker thread that owns
+  // the replica, all shards in parallel, and returns once every call has
+  // finished (IngestEngine::RunOnWorkers has the contract: producer
+  // thread, after a Flush() that returned ok).
+  template <typename Fn>
+  void RunOnWorkers(Fn&& fn) {
+    GSTREAM_CHECK(engine_ != nullptr);
+    engine_->RunOnWorkers([this, &fn](size_t s) { fn(s, replicas_[s]); });
+  }
+
   // The first failure recorded on the underlying engine (kNone while
   // healthy; stable once Drain()/Close() returned).
   EngineError error() const {

@@ -1,6 +1,7 @@
 #include "persist/checkpoint.h"
 
 #include <cstring>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,14 +20,17 @@ LoadStatus Truncated(const std::string& what) {
                           "checkpoint ends inside " + what);
 }
 
-}  // namespace
-
-std::string EncodeCheckpoint(const CheckpointImage& image) {
+// Frames `image` as a GCKP file in pieces.  `frame` receives every byte
+// that is not a shard blob -- the header with the producer state, each
+// blob's length prefix, and the trailer -- and `parts` the file in order,
+// viewing `frame` and the blobs in place.  The whole-file checksum runs
+// over the pieces, so no blob is copied.
+void FrameCheckpoint(const CheckpointImage& image, std::string* frame,
+                     std::vector<std::string_view>* parts) {
   const size_t shards = image.shard_blobs.size();
   GSTREAM_CHECK_EQ(image.producer.staged.size(), shards);
   GSTREAM_CHECK_EQ(image.producer.stats.shard_updates.size(), shards);
-  persist::ByteWriter w;
-  w.OpenRegion();
+  persist::ByteWriter w(std::move(*frame));
   w.PutBytes(std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)));
   w.PutU32(kCheckpointFormatVersion);
   w.PutU64(shards);
@@ -43,9 +47,59 @@ std::string EncodeCheckpoint(const CheckpointImage& image) {
       w.PutI64(u.delta);
     }
   }
-  for (const std::string& blob : image.shard_blobs) w.PutBlob(blob);
-  w.CloseRegion();
-  return w.Seal();
+  const size_t head = w.size();
+  for (const std::string& blob : image.shard_blobs) w.PutU64(blob.size());
+  w.PutU64(0);  // trailer, filled below
+  *frame = w.Seal();
+  const std::string_view bytes(*frame);
+  parts->clear();
+  parts->push_back(bytes.substr(0, head));
+  for (size_t s = 0; s < shards; ++s) {
+    parts->push_back(bytes.substr(head + 8 * s, 8));
+    parts->push_back(image.shard_blobs[s]);
+  }
+  uint64_t checksum = persist::Checksum64("");
+  for (const std::string_view part : *parts) {
+    checksum = persist::Checksum64(part, checksum);
+  }
+  const size_t trailer = head + 8 * shards;
+  for (size_t i = 0; i < kChecksumBytes; ++i) {
+    (*frame)[trailer + i] = static_cast<char>(checksum >> (8 * i));
+  }
+  parts->push_back(bytes.substr(trailer, kChecksumBytes));
+}
+
+bool SaveFramed(const CheckpointImage& image, const std::string& path,
+                WriteFault fault, std::string* frame,
+                std::vector<std::string_view>* parts) {
+  obs::TraceSpan span("persist/save_checkpoint", "persist");
+  obs::Registry& registry = obs::Registry::Get();
+  obs::ScopedTimer timer(registry.GetHistogram("persist/ckpt_write_ns"));
+  FrameCheckpoint(image, frame, parts);
+  const bool ok = WriteFileAtomic(path, *parts, fault);
+  if (ok) {
+    size_t bytes = 0;
+    for (const std::string_view part : *parts) bytes += part.size();
+    registry.GetCounter("persist/ckpt_saves")->Increment();
+    registry.GetCounter("persist/ckpt_bytes_written")->Add(bytes);
+  } else {
+    registry.GetCounter("persist/ckpt_save_failures")->Increment();
+  }
+  return ok;
+}
+
+}  // namespace
+
+std::string EncodeCheckpoint(const CheckpointImage& image) {
+  std::string frame;
+  std::vector<std::string_view> parts;
+  FrameCheckpoint(image, &frame, &parts);
+  size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string bytes;
+  bytes.reserve(size);
+  for (const std::string_view part : parts) bytes.append(part);
+  return bytes;
 }
 
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image) {
@@ -126,18 +180,9 @@ LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image) {
 
 bool SaveCheckpoint(const CheckpointImage& image, const std::string& path,
                     WriteFault fault) {
-  obs::TraceSpan span("persist/save_checkpoint", "persist");
-  obs::Registry& registry = obs::Registry::Get();
-  obs::ScopedTimer timer(registry.GetHistogram("persist/ckpt_write_ns"));
-  const std::string bytes = EncodeCheckpoint(image);
-  const bool ok = WriteFileAtomic(path, bytes, fault);
-  if (ok) {
-    registry.GetCounter("persist/ckpt_saves")->Increment();
-    registry.GetCounter("persist/ckpt_bytes_written")->Add(bytes.size());
-  } else {
-    registry.GetCounter("persist/ckpt_save_failures")->Increment();
-  }
-  return ok;
+  std::string frame;
+  std::vector<std::string_view> parts;
+  return SaveFramed(image, path, fault, &frame, &parts);
 }
 
 LoadStatus LoadCheckpoint(const std::string& path, CheckpointImage* image) {
@@ -148,6 +193,56 @@ LoadStatus LoadCheckpoint(const std::string& path, CheckpointImage* image) {
   const std::optional<std::string> bytes = ReadFileBytes(path, &status);
   if (!bytes.has_value()) return status;
   return DecodeCheckpoint(*bytes, image);
+}
+
+CheckpointWriter::CheckpointWriter(std::string path, WriteFault fault)
+    : path_(std::move(path)),
+      fault_(fault),
+      wait_ns_(obs::Registry::Get().GetHistogram(
+          "persist/ckpt_write_wait_ns")) {}
+
+CheckpointWriter::~CheckpointWriter() {
+  Wait();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  if (thread_.joinable()) thread_.join();
+}
+
+void CheckpointWriter::Start(const CheckpointImage& image) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    GSTREAM_CHECK(job_ == nullptr);
+    job_ = &image;
+  }
+  if (!thread_.joinable()) thread_ = std::thread(&CheckpointWriter::Loop, this);
+  cv_.notify_all();
+}
+
+bool CheckpointWriter::Wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (job_ != nullptr) {
+    obs::ScopedTimer timer(wait_ns_);
+    cv_.wait(lock, [this] { return job_ == nullptr; });
+  }
+  return ok_;
+}
+
+void CheckpointWriter::Loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    cv_.wait(lock, [this] { return job_ != nullptr || stop_; });
+    if (job_ == nullptr) return;
+    const CheckpointImage& image = *job_;
+    lock.unlock();
+    const bool ok = SaveFramed(image, path_, fault_, &frame_, &parts_);
+    lock.lock();
+    ok_ = ok_ && ok;
+    job_ = nullptr;
+    cv_.notify_all();
+  }
 }
 
 LoadStatus CheckProducerState(const IngestProducerState& producer,

@@ -7,7 +7,10 @@
 // write-tmp / fsync / rename / fsync-parent sequence (WriteFileAtomic), so
 // a crash at any instant leaves either the previous complete checkpoint or
 // the new complete checkpoint, never a torn mix; the torn-write tests
-// inject a fault at every phase and assert exactly that.
+// inject a fault at every phase and assert exactly that.  Under
+// RunWithCheckpoints the capture runs on the engine's own workers (one
+// replica each) and the write on a writer thread, overlapped with the
+// next interval's ingest.
 //
 // Restart contract (the bit-exactness pin): Open() a fresh ingestor with
 // the writer's factory (same seed), shard count, policy, and chunk
@@ -38,10 +41,13 @@
 #define GSTREAM_PERSIST_CHECKPOINT_H_
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "engine/sharded_ingestor.h"
@@ -63,6 +69,8 @@ struct CheckpointImage {
   std::vector<std::string> shard_blobs;  // one wire blob per shard replica
 };
 
+// The GCKP file of `image`.  SaveCheckpoint writes the same bytes without
+// joining them: the header, each shard blob in place, and the trailer.
 std::string EncodeCheckpoint(const CheckpointImage& image);
 
 // Total over arbitrary bytes, like DeserializeSketch: magic, truncation,
@@ -75,37 +83,102 @@ std::string EncodeCheckpoint(const CheckpointImage& image);
 // RestoreIngestor, which alone knows the shard count and chunk size.
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image);
 
-// Encode + WriteFileAtomic (fault injectable for the torn-write tests).
+// Writes EncodeCheckpoint's bytes with WriteFileAtomic (fault injectable
+// for the torn-write tests), checksumming and writing the pieces in place.
+// Counts persist/ckpt_saves or persist/ckpt_save_failures.
 bool SaveCheckpoint(const CheckpointImage& image, const std::string& path,
                     WriteFault fault = WriteFault::kNone);
 
 // ReadFileBytes + Decode.
 LoadStatus LoadCheckpoint(const std::string& path, CheckpointImage* image);
 
-// Captures a running ingestion: quiesces the engine (Flush), then snapshots
-// the producer state and serializes every shard replica.  `cursor` is the
-// caller's position in the input stream.  The ingestor stays live.
+// Saves checkpoint images on a thread of its own, one at a time, so the
+// producer submits the next interval while image k is checksummed, written
+// and fsynced.  Start() hands over an image that must stay unchanged until
+// the next Wait() returns; Wait() blocks until the image in flight, if
+// any, is durable or has failed, recording the time it blocked in
+// persist/ckpt_write_wait_ns.  The thread starts with the first image; the
+// destructor waits for the image in flight and joins it.  Producer thread
+// only.
+class CheckpointWriter {
+ public:
+  CheckpointWriter(std::string path, WriteFault fault);
+  ~CheckpointWriter();
+
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  // At most one image in flight (checked): Wait() first.
+  void Start(const CheckpointImage& image);
+  // False once any image handed to this writer failed to save.
+  bool Wait();
+
+ private:
+  void Loop();
+
+  const std::string path_;
+  const WriteFault fault_;
+  obs::Histogram* const wait_ns_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  const CheckpointImage* job_ = nullptr;  // in flight until the save ends
+  bool ok_ = true;
+  bool stop_ = false;
+  std::thread thread_;
+  // Writer-thread buffers, kept across images: the file bytes that are not
+  // shard blobs, and the file's pieces in order.
+  std::string frame_;
+  std::vector<std::string_view> parts_;
+};
+
+// Captures a running ingestion into *image: quiesces the engine (Flush),
+// snapshots the producer state, and serializes every shard replica on the
+// worker thread that owns it, all shards in parallel
+// (ShardedIngestor::RunOnWorkers).  `cursor` is the caller's position in
+// the input stream.  The ingestor stays live.
+//
+// A capture reuses *image's blob buffers.  They are sized here, on the
+// calling thread, from each replica's SpaceBytes(), which is at least the
+// blob's size for the stacks and top-k sketches (a blob carries counters
+// and candidates, not hash coefficients), and they keep their capacity.
+// So the workers write into memory this thread allocated: a worker-side
+// allocation would land in that thread's glibc arena and stay resident.
+//
+// `in_flight`, if set, is a writer that may still be saving the previous
+// capture from *image.  The capture waits for it after the quiesce, before
+// touching *image, so the workers' drain overlaps the write.
+//
+// A degraded engine is never captured: if the quiesce reports an error (a
+// sink threw, or the watchdog named a stalled worker whose replica may
+// still change), that error is returned, no replica is read, and *image is
+// left as it was.  Returns EngineError::ok() on success.
 template <typename SketchT>
-CheckpointImage SnapshotIngestor(ShardedIngestor<SketchT>& ingest,
-                                 uint64_t cursor) {
+EngineError SnapshotIngestor(ShardedIngestor<SketchT>& ingest,
+                             uint64_t cursor, CheckpointImage* image,
+                             CheckpointWriter* in_flight = nullptr) {
   obs::TraceSpan span("persist/snapshot", "persist");
-  // The two phases have different owners -- quiesce waits on the workers,
-  // serialize is producer-side CPU -- so they get separate histograms.
+  obs::Registry& registry = obs::Registry::Get();
+  // The two phases have different owners -- quiesce waits on the workers
+  // to drain, serialize on the workers to write their blobs -- so they get
+  // separate histograms.
   {
-    obs::ScopedTimer quiesce(
-        obs::Registry::Get().GetHistogram("persist/ckpt_quiesce_ns"));
-    ingest.Flush();
+    obs::ScopedTimer quiesce(registry.GetHistogram("persist/ckpt_quiesce_ns"));
+    if (EngineError error = ingest.Flush(); !error.ok()) return error;
   }
+  if (in_flight != nullptr) in_flight->Wait();
   obs::ScopedTimer serialize(
-      obs::Registry::Get().GetHistogram("persist/ckpt_serialize_ns"));
-  CheckpointImage image;
-  image.cursor = cursor;
-  image.producer = ingest.SnapshotProducerState();
-  image.shard_blobs.reserve(ingest.replicas().size());
-  for (SketchT& replica : ingest.replicas()) {
-    image.shard_blobs.push_back(SerializeSketch(replica));
+      registry.GetHistogram("persist/ckpt_serialize_ns"));
+  image->cursor = cursor;
+  image->producer = ingest.SnapshotProducerState();
+  std::vector<std::string>& blobs = image->shard_blobs;
+  blobs.resize(ingest.replicas().size());
+  for (size_t s = 0; s < blobs.size(); ++s) {
+    blobs[s].reserve(ingest.replicas()[s].SpaceBytes());
   }
-  return image;
+  ingest.RunOnWorkers([&blobs](size_t s, const SketchT& replica) {
+    SerializeSketch(replica, &blobs[s]);
+  });
+  return EngineError{};
 }
 
 // Checks an image's producer state against an engine of `shards` shards
@@ -169,18 +242,32 @@ struct CheckpointOptions {
 
 // Feeds `stream` from update `start`, checkpointing every interval (and
 // once at end-of-stream).  `after_checkpoint`, if set, runs after each
-// successful save with the current cursor; returning false stops the feed
-// there (the kill-point hook the crash tests use).  Returns the cursor
-// reached: stream.length() on completion, earlier if stopped by the hook
-// or by a failed save (an injected fault "crashed" the writer).
+// checkpoint is durable, with the current cursor; returning false stops
+// the feed there (the kill-point hook the crash tests use).  Returns the
+// cursor reached: stream.length() on completion, earlier if stopped by the
+// hook, by a refused capture or by a failed save.
+//
+// Overlap: each image is saved by a CheckpointWriter while the producer
+// submits the next interval and the workers drain it; at most one image is
+// in flight, and the producer waits for it before the next capture reads
+// or writes the image, and before returning.
+// With a hook the producer waits for durability before calling it, so
+// there is no overlap and the stop contract below holds.
+//
+// Failures end the run early and leave the previous checkpoint file as it
+// was:
+//   * a refused capture (a degraded engine; ingest.error() names why)
+//     counts persist/ckpt_save_failures and returns the capture's cursor;
+//   * a failed save returns the updates submitted so far -- at most one
+//     interval past the failed image, whose successor was being submitted
+//     while it was written.  A failure of the final image is seen only in
+//     persist/ckpt_save_failures: the cursor is already stream.length().
 //
 // Stop contract: when the hook returns false at cursor c, the call returns
 // c and exactly updates [start, c) have been submitted to `ingest` -- none
 // beyond the checkpoint.  The same ingestor can therefore carry on with
 // RunWithCheckpoints(ingest, stream, c, ...) and end bit-identical to an
-// uninterrupted run (CheckpointTest.StopHookLeavesIngestorAtCursor).  A
-// writer that let the producer run ahead of the durable checkpoint would
-// break this.
+// uninterrupted run (CheckpointTest.StopHookLeavesIngestorAtCursor).
 template <typename SketchT>
 uint64_t RunWithCheckpoints(
     ShardedIngestor<SketchT>& ingest, const Stream& stream, uint64_t start,
@@ -193,17 +280,29 @@ uint64_t RunWithCheckpoints(
   const Update* updates = stream.updates().data();
   const uint64_t total = stream.length();
   GSTREAM_CHECK_LE(start, total);
+  CheckpointImage image;  // every capture of this run reuses its buffers
+  CheckpointWriter writer(options.path, options.fault);
   uint64_t cursor = start;
   while (cursor < total) {
     const uint64_t n = std::min(options.interval_updates, total - cursor);
     ingest.Submit(updates + cursor, n);
     cursor += n;
-    const CheckpointImage image = SnapshotIngestor(ingest, cursor);
-    if (!SaveCheckpoint(image, options.path, options.fault)) return cursor;
-    if (after_checkpoint != nullptr && !after_checkpoint(cursor)) {
+    const bool captured =
+        SnapshotIngestor(ingest, cursor, &image, &writer).ok();
+    if (!writer.Wait()) return cursor;  // the previous image failed
+    if (!captured) {
+      obs::Registry::Get()
+          .GetCounter("persist/ckpt_save_failures")
+          ->Increment();
+      return cursor;
+    }
+    writer.Start(image);
+    if (after_checkpoint != nullptr &&
+        (!writer.Wait() || !after_checkpoint(cursor))) {
       return cursor;
     }
   }
+  writer.Wait();
   return cursor;
 }
 

@@ -91,10 +91,13 @@ void SweepRegions(const unsigned char* bytes, const std::vector<Mark>& marks,
 }  // namespace
 
 uint64_t Checksum64(std::string_view bytes) {
-  uint64_t h = kFnvOffsetBasis;
+  return Checksum64(bytes, kFnvOffsetBasis);
+}
+
+uint64_t Checksum64(std::string_view bytes, uint64_t prefix) {
   Fnv1aChains<1>(reinterpret_cast<const unsigned char*>(bytes.data()),
-                 bytes.size(), &h);
-  return h;
+                 bytes.size(), &prefix);
+  return prefix;
 }
 
 void ByteWriter::PutU32(uint32_t v) {
@@ -122,11 +125,6 @@ void ByteWriter::PutI64s(const int64_t* v, size_t n) {
 
 void ByteWriter::PutBytes(std::string_view bytes) {
   buf_.append(bytes.data(), bytes.size());
-}
-
-void ByteWriter::PutBlob(std::string_view blob) {
-  PutU64(blob.size());
-  PutBytes(blob);
 }
 
 size_t ByteWriter::BeginChild() {
@@ -946,13 +944,13 @@ struct SketchSerde {
 
 namespace {
 
-// Writes one sketch into a fresh writer and seals it.
+// Writes one sketch into *out's storage and seals it.
 template <typename SketchT>
-std::string Sealed(void (*write)(ByteWriter*, const SketchT&),
-                   const SketchT& sketch) {
-  ByteWriter w;
+void Sealed(void (*write)(ByteWriter*, const SketchT&), const SketchT& sketch,
+            std::string* out) {
+  ByteWriter w(std::move(*out));
   write(&w, sketch);
-  return w.Seal();
+  *out = w.Seal();
 }
 
 // Reads one blob into `dst`: the reader decodes, the blob's regions are
@@ -973,35 +971,35 @@ LoadStatus Loaded(LoadStatus (*read)(std::string_view, SketchT*,
 // Public surface: thin delegation into the friend serde.
 // ---------------------------------------------------------------------------
 
-std::string SerializeSketch(const CountSketch& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteCountSketch, sketch);
+void SerializeSketch(const CountSketch& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteCountSketch, sketch, out);
 }
-std::string SerializeSketch(const CountMinSketch& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteCountMin, sketch);
+void SerializeSketch(const CountMinSketch& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteCountMin, sketch, out);
 }
-std::string SerializeSketch(const AmsSketch& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteAms, sketch);
+void SerializeSketch(const AmsSketch& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteAms, sketch, out);
 }
-std::string SerializeSketch(const GnpHeavyHitter& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteGnp, sketch);
+void SerializeSketch(const GnpHeavyHitter& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteGnp, sketch, out);
 }
-std::string SerializeSketch(const ExactFrequencySketch& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteExactFrequency, sketch);
+void SerializeSketch(const ExactFrequencySketch& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteExactFrequency, sketch, out);
 }
-std::string SerializeSketch(const CountSketchTopK& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteTopK, sketch);
+void SerializeSketch(const CountSketchTopK& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteTopK, sketch, out);
 }
-std::string SerializeSketch(const ExactHeavyHitterSketch& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteExactHH, sketch);
+void SerializeSketch(const ExactHeavyHitterSketch& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteExactHH, sketch, out);
 }
-std::string SerializeSketch(const OnePassHeavyHitter& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteOnePass, sketch);
+void SerializeSketch(const OnePassHeavyHitter& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteOnePass, sketch, out);
 }
-std::string SerializeSketch(const TwoPassHeavyHitter& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteTwoPass, sketch);
+void SerializeSketch(const TwoPassHeavyHitter& sketch, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteTwoPass, sketch, out);
 }
-std::string SerializeSketch(const RecursiveGSum& stack) {
-  return persist::Sealed(persist::SketchSerde::WriteRecursive, stack);
+void SerializeSketch(const RecursiveGSum& stack, std::string* out) {
+  persist::Sealed(persist::SketchSerde::WriteRecursive, stack, out);
 }
 
 LoadStatus DeserializeSketch(std::string_view blob, CountSketch* dst) {
@@ -1038,7 +1036,9 @@ LoadStatus DeserializeSketch(std::string_view blob, RecursiveGSum* dst) {
 }
 
 std::string SerializeHeavyHitter(const GHeavyHitterSketch& sketch) {
-  return persist::Sealed(persist::SketchSerde::WriteHeavyHitter, sketch);
+  std::string blob;
+  persist::Sealed(persist::SketchSerde::WriteHeavyHitter, sketch, &blob);
+  return blob;
 }
 
 LoadStatus DeserializeHeavyHitter(std::string_view blob,
@@ -1092,6 +1092,13 @@ const char* WriteFaultName(WriteFault fault) {
 
 bool WriteFileAtomic(const std::string& path, std::string_view bytes,
                      WriteFault fault) {
+  return WriteFileAtomic(path, std::span<const std::string_view>(&bytes, 1),
+                         fault);
+}
+
+bool WriteFileAtomic(const std::string& path,
+                     std::span<const std::string_view> parts,
+                     WriteFault fault) {
   obs::Registry& registry = obs::Registry::Get();
   obs::ScopedTimer timer(
       registry.GetHistogram("persist/atomic_write_ns"));
@@ -1099,25 +1106,27 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  const std::string_view to_write =
-      fault == WriteFault::kCrashMidTmp ? bytes.substr(0, bytes.size() / 2)
-                                        : bytes;
+  size_t total = 0;
+  for (const std::string_view part : parts) total += part.size();
+  size_t budget = fault == WriteFault::kCrashMidTmp ? total / 2 : total;
   // A real I/O failure removes the tmp file; injected faults leave it,
   // because they model a crash, which cleans up nothing.
   const auto fail = [&tmp] {
     ::unlink(tmp.c_str());
     return false;
   };
-  size_t written = 0;
-  while (written < to_write.size()) {
-    const ssize_t n =
-        ::write(fd, to_write.data() + written, to_write.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return fail();
+  for (std::string_view part : parts) {
+    part = part.substr(0, std::min(part.size(), budget));
+    budget -= part.size();
+    while (!part.empty()) {
+      const ssize_t n = ::write(fd, part.data(), part.size());
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        ::close(fd);
+        return fail();
+      }
+      part.remove_prefix(static_cast<size_t>(n));
     }
-    written += static_cast<size_t>(n);
   }
   if (fault == WriteFault::kCrashMidTmp) {
     // A crash mid-write: the tmp file holds a prefix, never fsynced, never
@@ -1140,7 +1149,7 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
   // the new one are on disk.
   if (!FsyncParentDir(path)) return false;
   registry.GetCounter("persist/files_written")->Increment();
-  registry.GetCounter("persist/bytes_written")->Add(bytes.size());
+  registry.GetCounter("persist/bytes_written")->Add(total);
   return true;
 }
 

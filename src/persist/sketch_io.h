@@ -40,8 +40,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -82,16 +84,27 @@ inline constexpr uint32_t kSketchFormatVersion = 1;
 // geometry; on any failure `dst` is unchanged and the status says why.
 // ---------------------------------------------------------------------------
 
-std::string SerializeSketch(const CountSketch& sketch);
-std::string SerializeSketch(const CountMinSketch& sketch);
-std::string SerializeSketch(const AmsSketch& sketch);
-std::string SerializeSketch(const GnpHeavyHitter& sketch);
-std::string SerializeSketch(const ExactFrequencySketch& sketch);
-std::string SerializeSketch(const CountSketchTopK& sketch);
-std::string SerializeSketch(const ExactHeavyHitterSketch& sketch);
-std::string SerializeSketch(const OnePassHeavyHitter& sketch);
-std::string SerializeSketch(const TwoPassHeavyHitter& sketch);
-std::string SerializeSketch(const RecursiveGSum& stack);
+// Serialize writes into *out, replacing its contents but keeping its
+// capacity, so a caller that serializes the same sketch repeatedly (the
+// checkpoint capture) allocates only when the blob outgrows the buffer.
+void SerializeSketch(const CountSketch& sketch, std::string* out);
+void SerializeSketch(const CountMinSketch& sketch, std::string* out);
+void SerializeSketch(const AmsSketch& sketch, std::string* out);
+void SerializeSketch(const GnpHeavyHitter& sketch, std::string* out);
+void SerializeSketch(const ExactFrequencySketch& sketch, std::string* out);
+void SerializeSketch(const CountSketchTopK& sketch, std::string* out);
+void SerializeSketch(const ExactHeavyHitterSketch& sketch, std::string* out);
+void SerializeSketch(const OnePassHeavyHitter& sketch, std::string* out);
+void SerializeSketch(const TwoPassHeavyHitter& sketch, std::string* out);
+void SerializeSketch(const RecursiveGSum& stack, std::string* out);
+
+// The blob as a new string.
+template <typename SketchT>
+std::string SerializeSketch(const SketchT& sketch) {
+  std::string blob;
+  SerializeSketch(sketch, &blob);
+  return blob;
+}
 
 LoadStatus DeserializeSketch(std::string_view blob, CountSketch* dst);
 LoadStatus DeserializeSketch(std::string_view blob, CountMinSketch* dst);
@@ -167,6 +180,12 @@ const char* WriteFaultName(WriteFault fault);
 // would.
 bool WriteFileAtomic(const std::string& path, std::string_view bytes,
                      WriteFault fault = WriteFault::kNone);
+// The same for a file given as pieces written in order (the checkpoint
+// writer's header, shard blobs and trailer), so they are never joined into
+// one buffer.  kCrashMidTmp leaves a prefix of their concatenation.
+bool WriteFileAtomic(const std::string& path,
+                     std::span<const std::string_view> parts,
+                     WriteFault fault = WriteFault::kNone);
 
 // Reads a whole file; nullopt + status on open/read failure.
 std::optional<std::string> ReadFileBytes(const std::string& path,
@@ -193,6 +212,10 @@ namespace persist {
 // cryptographic -- it detects corruption (bit rot, torn writes), not
 // adversaries, which is the contract crash consistency needs.
 uint64_t Checksum64(std::string_view bytes);
+// Continues a checksum over bytes that follow a prefix with checksum
+// `prefix`: Checksum64(b, Checksum64(a)) == Checksum64(a + b), so a file
+// written in pieces is checksummed without joining them.
+uint64_t Checksum64(std::string_view bytes, uint64_t prefix);
 
 // Little-endian writer shared by the sketch and checkpoint formats.  A
 // whole image -- a RecursiveGSum blob with every nested level, sketch and
@@ -216,13 +239,18 @@ uint64_t Checksum64(std::string_view bytes);
 // the value a reader verifies.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Writes into `buffer`'s storage: its contents are dropped, its capacity
+  // kept (Seal() hands the same storage back).
+  explicit ByteWriter(std::string buffer) : buf_(std::move(buffer)) {
+    buf_.clear();
+  }
+
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v);
   void PutI64s(const int64_t* v, size_t n);
   void PutBytes(std::string_view bytes);
-  // Length-prefixed child blob that already exists as bytes.
-  void PutBlob(std::string_view blob);
 
   size_t BeginChild();
   void EndChild(size_t length_at);

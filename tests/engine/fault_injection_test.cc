@@ -22,13 +22,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/ingest_engine.h"
 #include "engine/sharded_ingestor.h"
+#include "obs/metrics.h"
+#include "persist/checkpoint.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/generators.h"
@@ -284,6 +289,73 @@ TEST_F(FaultInjectionTest, BlockPolicyStaysBitExactUnderLosslessFaults) {
   ExpectConservation(stats);
   EXPECT_EQ(stats.updates_shed, 0u);
   EXPECT_EQ(stats.updates_applied, stream.length());
+}
+
+// A degraded engine is never checkpointed: a resume from an image of it
+// would silently lack what the poisoned shard shed.  The capture after the
+// failure refuses by name, counts a save failure, reads no replica and
+// leaves no file; the run stops at that capture's cursor.
+void ExpectCheckpointRefused(const IngestEngineOptions& options,
+                             const std::string& name,
+                             EngineErrorCode code) {
+  const Stream stream = MakeTurnstileStream(404);
+  ShardedIngestor<CountSketch> ingest(options,
+                                      [](size_t) { return MakeReplica(); });
+  ingest.Open();
+  CheckpointOptions ckpt;
+  ckpt.interval_updates = 2 * options.chunk_updates;
+  ckpt.path = testing::TempDir() + "/" + name + ".gckp";
+  std::remove(ckpt.path.c_str());
+  obs::Registry& registry = obs::Registry::Get();
+  const uint64_t failures_before =
+      registry.GetCounter("persist/ckpt_save_failures")->Value();
+  const uint64_t saves_before =
+      registry.GetCounter("persist/ckpt_saves")->Value();
+  const uint64_t end = RunWithCheckpoints(ingest, stream, 0, ckpt);
+
+  ASSERT_GT(stream.length(), 2 * ckpt.interval_updates);
+  EXPECT_EQ(end, ckpt.interval_updates) << "the first capture must refuse";
+  EXPECT_EQ(ingest.stats().updates_submitted, end);
+  EXPECT_EQ(::access(ckpt.path.c_str(), F_OK), -1) << "no image was written";
+  EXPECT_EQ(ingest.error().code, code);
+  EXPECT_EQ(ingest.error().shard, 1u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(
+        registry.GetCounter("persist/ckpt_save_failures")->Value(),
+        failures_before + 1);
+    EXPECT_EQ(registry.GetCounter("persist/ckpt_saves")->Value(),
+              saves_before);
+  }
+  ingest.Drain();
+  ExpectConservation(ingest.stats());
+}
+
+TEST_F(FaultInjectionTest, CheckpointRefusesAnEngineWithAThrownSink) {
+  // Round-robin over 3 shards: the first interval's second chunk lands on
+  // shard 1, whose sink throws once.
+  fault::Registry::Get().Arm(
+      24, {{"engine/shard/1/sink_throw", 1.0, 0, /*max_fires=*/1}});
+  IngestEngineOptions options;
+  options.shards = 3;
+  options.policy = PartitionPolicy::kRoundRobinChunks;
+  ExpectCheckpointRefused(options, "ckpt_refused_throw",
+                          EngineErrorCode::kSinkException);
+}
+
+TEST_F(FaultInjectionTest, CheckpointRefusesAnEngineWithAWedgedWorker) {
+  // Shard 1's first chunk stalls 300 ms against a 20 ms watchdog: Flush
+  // gives up after its grace with the chunk still queued, and the capture
+  // must not read a replica the wedged worker is about to write.
+  fault::Registry::Get().Arm(
+      25, {{"engine/shard/1/sink_stall", 1.0, /*param=*/300'000'000,
+            /*max_fires=*/1}});
+  IngestEngineOptions options;
+  options.shards = 3;
+  options.policy = PartitionPolicy::kRoundRobinChunks;
+  options.chunk_updates = 64;
+  options.watchdog_ns = 20'000'000;
+  ExpectCheckpointRefused(options, "ckpt_refused_stall",
+                          EngineErrorCode::kWorkerStalled);
 }
 
 // ---------------------------------------------------------------------------

@@ -731,6 +731,56 @@ TEST(IngestEngineTest, FlushAfterCloseIsANoOp) {
   EXPECT_EQ(engine.stats().updates_submitted, stream.length());
 }
 
+// RunOnWorkers runs each shard's task on the worker that owns the sink,
+// after that worker applied every chunk committed before the call, and
+// returns only when all tasks are done; repeated calls each run once per
+// shard, and a closed engine runs them on the caller's thread.
+TEST(IngestEngineTest, RunOnWorkersRunsEachTaskOnItsShardsWorker) {
+  const Stream stream = MakeTurnstileStream(217);
+  constexpr size_t kShards = 3;
+  std::vector<uint64_t> applied(kShards, 0);
+  std::vector<std::thread::id> sink_thread(kShards);
+  std::vector<BatchSink> sinks;
+  for (size_t s = 0; s < kShards; ++s) {
+    sinks.push_back([&, s](const Update* /*ups*/, size_t n) {
+      applied[s] += n;
+      sink_thread[s] = std::this_thread::get_id();
+    });
+  }
+  IngestEngineOptions options;
+  options.shards = kShards;
+  options.chunk_updates = 64;
+  IngestEngine engine(options, std::move(sinks));
+  std::vector<uint64_t> seen(kShards, 0);
+  std::vector<int> runs(kShards, 0);
+  std::vector<std::thread::id> task_thread(kShards);
+  const auto task = [&](size_t s) {
+    seen[s] = applied[s];
+    ++runs[s];
+    task_thread[s] = std::this_thread::get_id();
+  };
+  for (int round = 1; round <= 2; ++round) {
+    // Whole chunks, a round-robin lap per round: every shard's sink runs.
+    const size_t n = round * kShards * options.chunk_updates;
+    ASSERT_LE(n, stream.length());
+    engine.Submit(stream.updates().data(), n);
+    engine.RunOnWorkers(task);
+    const IngestStats stats = engine.stats();
+    for (size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(runs[s], round) << "shard " << s;
+      EXPECT_EQ(seen[s], stats.shard_updates[s]) << "shard " << s;
+      EXPECT_EQ(task_thread[s], sink_thread[s]) << "shard " << s;
+      EXPECT_NE(task_thread[s], std::this_thread::get_id()) << "shard " << s;
+    }
+  }
+  engine.Close();
+  engine.RunOnWorkers(task);
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(runs[s], 3);
+    EXPECT_EQ(task_thread[s], std::this_thread::get_id());
+  }
+}
+
 TEST(IngestEngineTest, CloseCommitRecordsRingOccupancyHighwater) {
   // Fewer updates than one chunk under the hash scatter: nothing commits
   // before Close(), so the final partial-chunk commit is the *only*

@@ -355,8 +355,8 @@ TEST(CheckpointTest, RestoreRejectsShardCountMismatch) {
       MakeIngestor(PartitionPolicy::kRoundRobinChunks);
   source.Open(3);
   source.Submit(stream.updates().data(), 2 * kStreamBatchSize);
-  const CheckpointImage image =
-      SnapshotIngestor(source, 2 * kStreamBatchSize);
+  CheckpointImage image;
+  ASSERT_TRUE(SnapshotIngestor(source, 2 * kStreamBatchSize, &image).ok());
   source.Drain();
 
   IngestEngineOptions options;
@@ -380,7 +380,8 @@ CheckpointImage SealedImage(PartitionPolicy policy,
   ShardedIngestor<CountSketchTopK> source = MakeIngestor(policy);
   source.Open(3);
   source.Submit(stream.updates().data(), 2 * kStreamBatchSize + 7);
-  CheckpointImage image = SnapshotIngestor(source, 2 * kStreamBatchSize + 7);
+  CheckpointImage image;
+  EXPECT_TRUE(SnapshotIngestor(source, 2 * kStreamBatchSize + 7, &image).ok());
   source.Drain();
   edit(&image);
   CheckpointImage decoded;
@@ -494,8 +495,8 @@ TEST(CheckpointTest, RestoreRejectsWrongSeedReplicas) {
       MakeIngestor(PartitionPolicy::kRoundRobinChunks);
   source.Open(3);
   source.Submit(stream.updates().data(), 2 * kStreamBatchSize);
-  const CheckpointImage image =
-      SnapshotIngestor(source, 2 * kStreamBatchSize);
+  CheckpointImage image;
+  ASSERT_TRUE(SnapshotIngestor(source, 2 * kStreamBatchSize, &image).ok());
   source.Drain();
 
   ShardedIngestor<CountSketchTopK> other =

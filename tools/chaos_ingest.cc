@@ -32,7 +32,6 @@
 // bit-exactness -- it just degenerates to a concurrency soak, so the flag
 // is reported in the output.
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -49,6 +48,7 @@
 #include "stream/generators.h"
 #include "util/fault.h"
 #include "util/random.h"
+#include "tool_flags.h"
 
 namespace gstream {
 namespace {
@@ -66,38 +66,16 @@ struct Flags {
   bool verbose = false;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
-// The value of a numeric flag: all decimal digits, no overflow, and (for
-// the counts) nonzero.  Anything else exits 2 -- a zero or garbage shard
-// count would otherwise reach a `% shards` or an engine CHECK.
-uint64_t NumberFlag(const char* name, const std::string& v, bool positive) {
-  errno = 0;
-  const uint64_t n = std::strtoull(v.c_str(), nullptr, 10);
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
-      errno == ERANGE || (positive && n == 0)) {
-    std::fprintf(stderr, "chaos_ingest: invalid %s=%s (want a %s integer)\n",
-                 name, v.c_str(), positive ? "positive" : "non-negative");
-    std::exit(2);
-  }
-  return n;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   std::string v;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (ParseFlag(a, "--base-seed", &v)) f.base_seed = NumberFlag("--base-seed", v, false);
-    else if (ParseFlag(a, "--seeds", &v)) f.seeds = NumberFlag("--seeds", v, true);
-    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = NumberFlag("--stream-seed", v, false);
-    else if (ParseFlag(a, "--shards", &v)) f.shards = NumberFlag("--shards", v, true);
-    else if (ParseFlag(a, "--producers", &v)) f.producers = NumberFlag("--producers", v, true);
+    if (ParseFlag(a, "--base-seed", &v)) f.base_seed = NumberFlag("chaos_ingest", "--base-seed", v, false);
+    else if (ParseFlag(a, "--seeds", &v)) f.seeds = NumberFlag("chaos_ingest", "--seeds", v, true);
+    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = NumberFlag("chaos_ingest", "--stream-seed", v, false);
+    else if (ParseFlag(a, "--shards", &v)) f.shards = NumberFlag("chaos_ingest", "--shards", v, true);
+    else if (ParseFlag(a, "--producers", &v)) f.producers = NumberFlag("chaos_ingest", "--producers", v, true);
     else if (std::strcmp(a, "--list-sites") == 0) f.list_sites = true;
     else if (std::strcmp(a, "--verbose") == 0) f.verbose = true;
     else if (ParseFlag(a, "--policy", &v)) {

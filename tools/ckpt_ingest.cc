@@ -39,6 +39,7 @@
 #include "sketch/count_sketch.h"
 #include "stream/generators.h"
 #include "util/random.h"
+#include "tool_flags.h"
 
 namespace gstream {
 namespace {
@@ -64,13 +65,6 @@ struct Flags {
   WriteFault fault = WriteFault::kNone;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   std::string v;
@@ -79,16 +73,16 @@ Flags ParseFlags(int argc, char** argv) {
     if (ParseFlag(a, "--mode", &v)) f.mode = v;
     else if (ParseFlag(a, "--ckpt", &v)) f.ckpt = v;
     else if (ParseFlag(a, "--out", &v)) f.out = v;
-    else if (ParseFlag(a, "--seed", &v)) f.seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--domain", &v)) f.domain = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--items", &v)) f.items = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--rows", &v)) f.rows = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--buckets", &v)) f.buckets = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--k", &v)) f.k = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--shards", &v)) f.shards = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--interval", &v)) f.interval = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--kill-after", &v)) f.kill_after = std::strtoull(v.c_str(), nullptr, 10);
+    else if (ParseFlag(a, "--seed", &v)) f.seed = NumberFlag("ckpt_ingest", "--seed", v, false);
+    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = NumberFlag("ckpt_ingest", "--stream-seed", v, false);
+    else if (ParseFlag(a, "--domain", &v)) f.domain = NumberFlag("ckpt_ingest", "--domain", v, true);
+    else if (ParseFlag(a, "--items", &v)) f.items = NumberFlag("ckpt_ingest", "--items", v, true);
+    else if (ParseFlag(a, "--rows", &v)) f.rows = NumberFlag("ckpt_ingest", "--rows", v, true);
+    else if (ParseFlag(a, "--buckets", &v)) f.buckets = NumberFlag("ckpt_ingest", "--buckets", v, true);
+    else if (ParseFlag(a, "--k", &v)) f.k = NumberFlag("ckpt_ingest", "--k", v, true);
+    else if (ParseFlag(a, "--shards", &v)) f.shards = NumberFlag("ckpt_ingest", "--shards", v, true);
+    else if (ParseFlag(a, "--interval", &v)) f.interval = NumberFlag("ckpt_ingest", "--interval", v, true);
+    else if (ParseFlag(a, "--kill-after", &v)) f.kill_after = NumberFlag("ckpt_ingest", "--kill-after", v, false);
     else if (std::strcmp(a, "--resume") == 0) f.resume = true;
     else if (ParseFlag(a, "--stats", &v)) {
       if (v == "json") f.stats_json = true;
@@ -105,6 +99,16 @@ Flags ParseFlags(int argc, char** argv) {
       std::fprintf(stderr, "ckpt_ingest: unknown flag %s\n", a);
       std::exit(2);
     }
+  }
+  // Resumed chunk framing must match an uninterrupted run's, so a
+  // checkpoint falls on a chunk boundary (RunWithCheckpoints CHECKs it).
+  if (f.interval % kStreamBatchSize != 0) {
+    std::fprintf(stderr,
+                 "ckpt_ingest: invalid --interval=%llu (want a positive "
+                 "multiple of the %zu-update chunk)\n",
+                 static_cast<unsigned long long>(f.interval),
+                 kStreamBatchSize);
+    std::exit(2);
   }
   return f;
 }

@@ -37,6 +37,7 @@
 #include "sketch/count_sketch.h"
 #include "stream/stream.h"
 #include "util/random.h"
+#include "tool_flags.h"
 
 namespace gstream {
 namespace {
@@ -56,23 +57,16 @@ struct Flags {
   bool stats_json = false;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   std::string v;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (ParseFlag(a, "--updates", &v)) f.updates = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--producers", &v)) f.producers = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--shards", &v)) f.shards = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--sketch-seed", &v)) f.sketch_seed = std::strtoull(v.c_str(), nullptr, 10);
+    if (ParseFlag(a, "--updates", &v)) f.updates = NumberFlag("mpsc_stress", "--updates", v, true);
+    else if (ParseFlag(a, "--producers", &v)) f.producers = NumberFlag("mpsc_stress", "--producers", v, true);
+    else if (ParseFlag(a, "--shards", &v)) f.shards = NumberFlag("mpsc_stress", "--shards", v, true);
+    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = NumberFlag("mpsc_stress", "--stream-seed", v, false);
+    else if (ParseFlag(a, "--sketch-seed", &v)) f.sketch_seed = NumberFlag("mpsc_stress", "--sketch-seed", v, false);
     else if (std::strcmp(a, "--pin") == 0) f.pin = true;
     else if (ParseFlag(a, "--policy", &v)) {
       if (v == "rr") f.policy = PartitionPolicy::kRoundRobinChunks;
@@ -86,10 +80,6 @@ Flags ParseFlags(int argc, char** argv) {
       std::fprintf(stderr, "mpsc_stress: unknown flag %s\n", a);
       std::exit(2);
     }
-  }
-  if (f.producers == 0 || f.shards == 0) {
-    std::fprintf(stderr, "mpsc_stress: --producers and --shards must be >= 1\n");
-    std::exit(2);
   }
   return f;
 }

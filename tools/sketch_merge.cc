@@ -42,6 +42,7 @@
 #include "stream/generators.h"
 #include "stream/stream.h"
 #include "util/random.h"
+#include "tool_flags.h"
 
 namespace gstream {
 namespace {
@@ -65,13 +66,6 @@ struct Flags {
   std::vector<std::string> inputs;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   std::string v;
@@ -80,15 +74,15 @@ Flags ParseFlags(int argc, char** argv) {
     if (ParseFlag(a, "--mode", &v)) f.mode = v;
     else if (ParseFlag(a, "--type", &v)) f.type = v;
     else if (ParseFlag(a, "--out", &v)) f.out = v;
-    else if (ParseFlag(a, "--seed", &v)) f.seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--domain", &v)) f.domain = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--items", &v)) f.items = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--rows", &v)) f.rows = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--buckets", &v)) f.buckets = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--k", &v)) f.k = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--shard", &v)) f.shard = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(a, "--shards", &v)) f.shards = std::strtoull(v.c_str(), nullptr, 10);
+    else if (ParseFlag(a, "--seed", &v)) f.seed = NumberFlag("sketch_merge", "--seed", v, false);
+    else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = NumberFlag("sketch_merge", "--stream-seed", v, false);
+    else if (ParseFlag(a, "--domain", &v)) f.domain = NumberFlag("sketch_merge", "--domain", v, true);
+    else if (ParseFlag(a, "--items", &v)) f.items = NumberFlag("sketch_merge", "--items", v, true);
+    else if (ParseFlag(a, "--rows", &v)) f.rows = NumberFlag("sketch_merge", "--rows", v, true);
+    else if (ParseFlag(a, "--buckets", &v)) f.buckets = NumberFlag("sketch_merge", "--buckets", v, true);
+    else if (ParseFlag(a, "--k", &v)) f.k = NumberFlag("sketch_merge", "--k", v, true);
+    else if (ParseFlag(a, "--shard", &v)) f.shard = NumberFlag("sketch_merge", "--shard", v, false);
+    else if (ParseFlag(a, "--shards", &v)) f.shards = NumberFlag("sketch_merge", "--shards", v, true);
     else if (ParseFlag(a, "--stats", &v)) {
       if (v == "json") f.stats_json = true;
       else { std::fprintf(stderr, "sketch_merge: unknown --stats=%s\n", v.c_str()); std::exit(2); }
